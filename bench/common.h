@@ -10,7 +10,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "schemes/scheme.h"
@@ -82,7 +85,11 @@ inline double parse_number(const char* flag, const char* v) {
   return parsed;
 }
 
-inline Options parse_options(int argc, char** argv) {
+/// Parse the shared flags; exits 2 on anything malformed or unknown.
+/// --telemetry=DIR is accepted only from a bench that writes telemetry
+/// (`honours_telemetry`); every other bench rejects it rather than
+/// accepting and ignoring it.
+inline Options parse_options(int argc, char** argv, bool honours_telemetry = false) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -106,6 +113,16 @@ inline Options parse_options(int argc, char** argv) {
     } else if ((v = value("--csv="))) {
       opt.csv_dir = v;
     } else if ((v = value("--telemetry="))) {
+      if (!honours_telemetry) {
+        std::fprintf(stderr,
+                     "--telemetry is not supported by this bench "
+                     "(ext_chaos_matrix writes telemetry)\n");
+        std::exit(2);
+      }
+      if (*v == '\0') {
+        std::fprintf(stderr, "--telemetry expects a directory\n");
+        std::exit(2);
+      }
       opt.telemetry_dir = v;
     } else if (arg == "--percentiles") {
       opt.percentiles = true;
@@ -124,8 +141,8 @@ inline Options parse_options(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--full] [--seed=N] [--threads=N] [--pairs=N] "
-          "[--duration=SECONDS] [--reps=N] [--csv=DIR] [--telemetry=DIR]\n"
-          "       [--percentiles]\n"
+          "[--duration=SECONDS] [--reps=N] [--csv=DIR]\n"
+          "       [--telemetry=DIR] (ext_chaos_matrix only) [--percentiles]\n"
           "       [--allow-quarantine] [--budget-events=N] [--storm-window=N]\n"
           "       [--storm-rate=EVENTS_PER_SIM_SECOND] [--cell-attempts=N]\n"
           "       [--quarantine=FILE]\n",
@@ -152,12 +169,38 @@ inline const char* display(schemes::Scheme s) {
   return schemes::info(s).display_name;
 }
 
+/// Create `dir` (and its parents) for output, or exit 1 saying why.
+inline void make_output_dir(const std::string& dir) {
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error || !std::filesystem::is_directory(dir)) {
+    std::fprintf(stderr, "cannot create output directory %s: %s\n", dir.c_str(),
+                 error ? error.message().c_str() : "not a directory");
+    std::exit(1);
+  }
+}
+
+/// Write `path` through `write(std::ostream&)`, or exit 1 when the file
+/// cannot be opened or written: an output a flag asked for never goes
+/// missing silently.
+template <typename Write>
+void write_file(const std::string& path, Write&& write) {
+  std::ofstream out{path};
+  if (out) write(out);
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+}
+
 /// Write `table` as <csv_dir>/<name>.csv when --csv was given.
 inline void maybe_write_csv(const Options& opt, const char* name,
                             const stats::Table& table) {
   if (opt.csv_dir.empty()) return;
   const std::string path = opt.csv_dir + "/" + name + ".csv";
-  if (table.write_csv(path)) std::printf("wrote %s\n", path.c_str());
+  if (!table.write_csv(path)) std::exit(1);  // write_csv said why on stderr
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace halfback::bench

@@ -9,7 +9,6 @@
 // (under --full) every cell re-runs to a bit-identical trace hash.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 #include "common.h"
 #include "exp/chaos.h"
@@ -23,7 +22,8 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(argc, argv, /*honours_telemetry=*/true);
+  if (!opt.telemetry_dir.empty()) bench::make_output_dir(opt.telemetry_dir);
   bench::print_header("Extension: chaos matrix",
                       "fault-injection catalog x schemes on the Emulab dumbbell",
                       opt);
@@ -144,27 +144,22 @@ int main(int argc, char** argv) {
                                       wall_start)
             .count();
     const std::string stem = opt.telemetry_dir + "/showcase-halfback";
-    {
-      // Full-hub overload: tape events plus nested B/E span events (pid 3).
-      std::ofstream out{stem + ".trace.json"};
+    // Full-hub overload: tape events plus nested B/E span events (pid 3).
+    bench::write_file(stem + ".trace.json", [&](std::ostream& out) {
       telemetry::write_chrome_trace(out, hub, run.sim_end);
-    }
-    {
-      std::ofstream out{stem + ".metrics.jsonl"};
+    });
+    bench::write_file(stem + ".metrics.jsonl", [&](std::ostream& out) {
       telemetry::write_metrics_jsonl(out, hub.registry());
-    }
-    {
-      std::ofstream out{stem + ".spans.jsonl"};
+    });
+    bench::write_file(stem + ".spans.jsonl", [&](std::ostream& out) {
       telemetry::write_spans_jsonl(out, hub.spans(), run.sim_end);
-    }
-    {
-      std::ofstream out{stem + ".series.jsonl"};
+    });
+    bench::write_file(stem + ".series.jsonl", [&](std::ostream& out) {
       telemetry::write_timeseries_jsonl(out, hub);
-    }
-    {
-      std::ofstream out{stem + ".manifest.json"};
+    });
+    bench::write_file(stem + ".manifest.json", [&](std::ostream& out) {
       telemetry::write_manifest_json(out, manifest, &hub.registry());
-    }
+    });
     stats::HistogramOptions histogram_options;
     histogram_options.width = 48;
     histogram_options.max_rows = 16;
@@ -192,8 +187,9 @@ int main(int argc, char** argv) {
                 telemetry::quarantine_json(quarantine).c_str());
   }
   if (!opt.quarantine_path.empty()) {
-    std::ofstream out{opt.quarantine_path};
-    telemetry::write_quarantine_json(out, quarantine);
+    bench::write_file(opt.quarantine_path, [&](std::ostream& out) {
+      telemetry::write_quarantine_json(out, quarantine);
+    });
     std::printf("wrote %s\n", opt.quarantine_path.c_str());
   }
 

@@ -1,5 +1,6 @@
 #include "audit/invariant_auditor.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "net/link.h"
@@ -8,18 +9,6 @@
 #include "transport/scoreboard.h"
 
 namespace halfback::audit {
-
-namespace {
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-}  // namespace
-
-void InvariantAuditor::mix(std::uint64_t value) {
-  // FNV-1a over the value's eight bytes, keeping the hash order-sensitive.
-  for (int i = 0; i < 8; ++i) {
-    trace_hash_ ^= (value >> (8 * i)) & 0xffULL;
-    trace_hash_ *= kFnvPrime;
-  }
-}
 
 void InvariantAuditor::violation(std::string what) {
   ++total_violations_;
@@ -36,45 +25,82 @@ std::string InvariantAuditor::report() const {
   return out.str();
 }
 
+// --- shadow lookup -----------------------------------------------------------
+// The fast path is one bounds check and one owner compare. Everything else
+// (a first sighting, a bare component, an id another network already
+// claimed in this auditor, a sparse flow id) takes the out-of-line claim_*.
+
 InvariantAuditor::QueueShadow& InvariantAuditor::queue_shadow(
     const net::PacketQueue& queue) {
-  return queues_[&queue];
+  const std::size_t id = queue.link_id();
+  if (id < queues_.size() && queues_[id].queue == &queue) [[likely]] {
+    return queues_[id];
+  }
+  return claim_queue_shadow(queue);
 }
 
 InvariantAuditor::LinkShadow& InvariantAuditor::link_shadow(const net::Link& link) {
-  return links_[&link];
+  const std::size_t id = link.id();
+  if (id < links_.size() && links_[id].link == &link) [[likely]] return links_[id];
+  return claim_link_shadow(link);
 }
 
-// --- sim -------------------------------------------------------------------
-
-void InvariantAuditor::on_event_scheduled(sim::Time now, sim::Time at) {
-  if (at < now) {
-    std::ostringstream out;
-    out << "event scheduled in the past: at=" << at.to_string()
-        << " now=" << now.to_string();
-    violation(out.str());
-  }
+InvariantAuditor::FlowShadow& InvariantAuditor::flow_shadow(std::uint64_t flow) {
+  if (flow < flows_.size()) [[likely]] return flows_[flow];
+  return claim_flow_shadow(flow);
 }
 
-void InvariantAuditor::on_event_run(sim::Time at, std::uint64_t seq) {
-  if (have_last_event_) {
-    if (at < last_event_time_) {
-      std::ostringstream out;
-      out << "event time went backwards: " << last_event_time_.to_string()
-          << " -> " << at.to_string();
-      violation(out.str());
-    } else if (at == last_event_time_ && seq <= last_event_seq_) {
-      std::ostringstream out;
-      out << "FIFO tie-break violated at " << at.to_string() << ": seq "
-          << last_event_seq_ << " ran before seq " << seq;
-      violation(out.str());
+InvariantAuditor::QueueShadow& InvariantAuditor::claim_queue_shadow(
+    const net::PacketQueue& queue) {
+  const std::size_t id = queue.link_id();
+  if (id != net::kNoLinkId) {
+    if (id >= queues_.size()) queues_.resize(id + 1);
+    if (queues_[id].queue == nullptr) {
+      queues_[id].queue = &queue;
+      return queues_[id];
     }
   }
-  have_last_event_ = true;
-  last_event_time_ = at;
-  last_event_seq_ = seq;
-  mix(static_cast<std::uint64_t>(at.ns()));
-  mix(seq);
+  QueueShadow& shadow = bare_queues_[&queue];
+  shadow.queue = &queue;
+  return shadow;
+}
+
+InvariantAuditor::LinkShadow& InvariantAuditor::claim_link_shadow(const net::Link& link) {
+  const std::size_t id = link.id();
+  if (id != net::kNoLinkId) {
+    if (id >= links_.size()) links_.resize(id + 1);
+    if (links_[id].link == nullptr) {
+      links_[id].link = &link;
+      return links_[id];
+    }
+  }
+  LinkShadow& shadow = bare_links_[&link];
+  shadow.link = &link;
+  return shadow;
+}
+
+InvariantAuditor::FlowShadow& InvariantAuditor::claim_flow_shadow(std::uint64_t flow) {
+  // Grow the dense table when `flow` is near its end (ids arrive densely
+  // from 1); anything further out is a sparse id and stays in the map.
+  constexpr std::uint64_t kDenseSlack = 64;
+  if (flow > 2 * flows_.size() + kDenseSlack) return sparse_flows_[flow];
+  const std::size_t old_size = flows_.size();
+  flows_.resize(flow + 1);
+  if (!sparse_flows_.empty()) {
+    // Pull in sparse entries the table now covers, so no flow has two
+    // shadows.
+    for (std::uint64_t id = old_size; id < flows_.size(); ++id) {
+      auto it = sparse_flows_.find(id);
+      if (it == sparse_flows_.end()) continue;
+      flows_[id] = std::move(it->second);
+      sparse_flows_.erase(it);
+    }
+  }
+  return flows_[flow];
+}
+
+void InvariantAuditor::FlowShadow::grow_wire_seqs(std::size_t word) {
+  wire_seqs.resize(std::max(word + 1, 2 * wire_seqs.size()));
 }
 
 // --- net: links ------------------------------------------------------------
@@ -88,7 +114,7 @@ void InvariantAuditor::on_link_offered(const net::Link& link,
                                        const net::Packet& packet) {
   ++link_shadow(link).offered;
   if (packet.type == net::PacketType::data) {
-    flows_[packet.flow].wire_seqs.insert(packet.seq);
+    flow_shadow(packet.flow).mark_on_wire(packet.seq);
   }
   mix(packet.uid);
 }
@@ -149,7 +175,7 @@ void InvariantAuditor::on_link_fault_duplicated(const net::Link& link,
   // Extend the destination delivery budget for this transmission: one
   // injected copy = one extra legitimate arrival of the same uid.
   if (packet.type == net::PacketType::data && packet.uid != 0) {
-    ++flows_[packet.flow].dup_credit[packet.uid];
+    ++flow_shadow(packet.flow).dup_credit[packet.uid];
   }
   mix(packet.uid);
 }
@@ -170,17 +196,17 @@ void InvariantAuditor::on_queue_enqueued(const net::PacketQueue& queue,
   shadow.bytes += packet.size_bytes;
   ++shadow.packets;
   ++shadow.enqueued;
-  if (queue.byte_length() != shadow.bytes) {
+  const std::uint64_t held = queue.byte_length();
+  if (held != shadow.bytes) {
     std::ostringstream out;
     out << "queue byte accounting diverged after enqueue: queue reports "
-        << queue.byte_length() << " B, audit expects " << shadow.bytes << " B";
+        << held << " B, audit expects " << shadow.bytes << " B";
     violation(out.str());
   }
   const std::uint64_t capacity = queue.capacity_bytes();
-  if (capacity > 0 && queue.byte_length() > capacity) {
+  if (capacity > 0 && held > capacity) {
     std::ostringstream out;
-    out << "queue over-full: holds " << queue.byte_length() << " B, capacity "
-        << capacity << " B";
+    out << "queue over-full: holds " << held << " B, capacity " << capacity << " B";
     violation(out.str());
   }
 }
@@ -233,8 +259,9 @@ void InvariantAuditor::on_node_received(std::uint32_t node,
   // delivered uids against sender-side sends would be unsound, because some
   // schemes (RC3's low-priority RLP copies) transmit outside the
   // SenderBase::send_segment path that feeds on_segment_sent.
-  FlowShadow& flow = flows_[packet.flow];
-  const std::uint32_t count = ++flow.delivered_count[packet.uid];
+  FlowShadow& flow = flow_shadow(packet.flow);
+  if (flow.delivered.insert(packet.uid)) [[likely]] return;  // first arrival
+  const std::uint32_t count = ++flow.repeat_deliveries[packet.uid] + 1;
   std::uint32_t allowed = 1;
   if (!flow.dup_credit.empty()) {
     auto credit = flow.dup_credit.find(packet.uid);
@@ -256,7 +283,7 @@ void InvariantAuditor::on_segment_sent(const transport::Scoreboard& scoreboard,
                                        std::uint64_t flow, const std::string& scheme,
                                        std::uint32_t seq, bool proactive,
                                        std::uint64_t uid) {
-  FlowShadow& shadow = flows_[flow];
+  FlowShadow& shadow = flow_shadow(flow);
   if (seq >= scoreboard.total_segments()) {
     violation("segment sent beyond the flow length");
   }
@@ -280,7 +307,7 @@ void InvariantAuditor::on_segment_sent(const transport::Scoreboard& scoreboard,
 void InvariantAuditor::on_ack_applied(const transport::Scoreboard& scoreboard,
                                       std::uint64_t flow, const net::Packet& ack,
                                       const transport::AckUpdate& update) {
-  FlowShadow& shadow = flows_[flow];
+  FlowShadow& shadow = flow_shadow(flow);
   if (update.cum_ack_after < update.cum_ack_before ||
       update.cum_ack_before < shadow.cum_ack) {
     std::ostringstream out;
@@ -300,7 +327,7 @@ void InvariantAuditor::on_ack_applied(const transport::Scoreboard& scoreboard,
   for (std::uint32_t seq : update.newly_sacked) {
     const transport::SegmentState* state = scoreboard.state(seq);
     const bool in_scoreboard = state != nullptr && state->times_sent > 0;
-    if (!in_scoreboard && !shadow.wire_seqs.contains(seq)) {
+    if (!in_scoreboard && !shadow.on_wire(seq)) {
       std::ostringstream out;
       out << "segment " << seq << " of flow " << flow
           << " was SACKed but never sent";
@@ -317,8 +344,8 @@ void InvariantAuditor::on_ack_applied(const transport::Scoreboard& scoreboard,
 // --- finalize ----------------------------------------------------------------
 
 void InvariantAuditor::finalize(bool drained) {
-  for (const auto& [link, shadow] : links_) {
-    const std::uint64_t queued = link != nullptr ? link->queue().packet_count() : 0;
+  const auto check_link = [&](const LinkShadow& shadow) {
+    const std::uint64_t queued = shadow.link->queue().packet_count();
     if (shadow.accounted() + queued > shadow.expected()) {
       std::ostringstream out;
       out << "link conservation violated: offered=" << shadow.offered
@@ -336,13 +363,14 @@ void InvariantAuditor::finalize(bool drained) {
           << " queued after the event queue drained";
       violation(out.str());
     }
-  }
-  for (const auto& [queue, shadow] : queues_) {
-    if (queue->byte_length() != shadow.bytes ||
-        queue->packet_count() != shadow.packets) {
+  };
+  const auto check_queue = [&](const QueueShadow& shadow) {
+    const net::PacketQueue& queue = *shadow.queue;
+    if (queue.byte_length() != shadow.bytes ||
+        queue.packet_count() != shadow.packets) {
       std::ostringstream out;
       out << "queue residue mismatch at end of run: queue reports "
-          << queue->byte_length() << " B / " << queue->packet_count()
+          << queue.byte_length() << " B / " << queue.packet_count()
           << " pkts, audit expects " << shadow.bytes << " B / " << shadow.packets
           << " pkts";
       violation(out.str());
@@ -351,7 +379,17 @@ void InvariantAuditor::finalize(bool drained) {
         shadow.dropped == 0) {
       violation("queue packet conservation violated after drain");
     }
+  };
+  for (const LinkShadow& shadow : links_) {
+    if (shadow.link != nullptr) check_link(shadow);
   }
+  // lint: ordered-ok(only the order of violation messages depends on it)
+  for (const auto& [link, shadow] : bare_links_) check_link(shadow);
+  for (const QueueShadow& shadow : queues_) {
+    if (shadow.queue != nullptr) check_queue(shadow);
+  }
+  // lint: ordered-ok(only the order of violation messages depends on it)
+  for (const auto& [queue, shadow] : bare_queues_) check_queue(shadow);
 }
 
 }  // namespace halfback::audit

@@ -24,15 +24,22 @@
 // inspects ok()/violations(). Install with Network::install_auditor (which
 // also covers the owning Simulator), or Simulator::set_auditor plus
 // PacketQueue::set_auditor for bare components.
+//
+// Shadow state is dense, because every hop touches it: link and queue
+// shadows live in vectors indexed by the link id Network::make_link
+// assigns, and flow shadows in a vector indexed by flow id (the runners
+// number flows densely from 1). Links and queues without an id (built bare
+// in tests, or a second network reusing ids) and flow ids far beyond the
+// dense range fall back to maps keyed the old way.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "audit/auditor.h"
+#include "transport/uid_set.h"
 
 namespace halfback::audit {
 
@@ -56,18 +63,12 @@ class InvariantAuditor final : public Auditor {
   /// Multi-line report of all stored violations (empty string when ok()).
   std::string report() const;
 
-  /// Order-sensitive FNV-1a hash over the run trace so far. Two runs of the
-  /// same scenario with the same seed must produce identical hashes.
-  std::uint64_t trace_hash() const { return trace_hash_; }
-
   /// End-of-run conservation sweep. Pass `drained` = true when the
   /// simulator's event queue is empty (every in-flight packet must then be
   /// accounted for); false tolerates packets still in flight or queued.
   void finalize(bool drained);
 
-  // --- Auditor hooks -------------------------------------------------------
-  void on_event_scheduled(sim::Time now, sim::Time at) override;
-  void on_event_run(sim::Time at, std::uint64_t seq) override;
+  // --- Auditor hooks (the event-engine hooks are Auditor's own) ------------
   void on_link_registered(const net::Link& link) override;
   void on_link_offered(const net::Link& link, const net::Packet& packet) override;
   void on_link_filtered(const net::Link& link, const net::Packet& packet) override;
@@ -93,8 +94,9 @@ class InvariantAuditor final : public Auditor {
  private:
   /// Shadow accounting for one queue, mirrored from the hook stream.
   struct QueueShadow {
-    const net::Link* link = nullptr;  ///< owning link, when known
-    std::uint64_t bytes = 0;          ///< bytes the queue should hold
+    const net::PacketQueue* queue = nullptr;  ///< owner of this slot
+    const net::Link* link = nullptr;          ///< owning link, when known
+    std::uint64_t bytes = 0;                  ///< bytes the queue should hold
     std::uint64_t packets = 0;
     std::uint64_t enqueued = 0;
     std::uint64_t dequeued = 0;
@@ -106,6 +108,7 @@ class InvariantAuditor final : public Auditor {
   /// every injected duplicate raises the delivery budget by one, so the
   /// conserved identity is accounted() == offered + fault_duplicated.
   struct LinkShadow {
+    const net::Link* link = nullptr;  ///< owner of this slot
     std::uint64_t offered = 0;
     std::uint64_t delivered = 0;
     std::uint64_t corrupted = 0;
@@ -124,35 +127,50 @@ class InvariantAuditor final : public Auditor {
     std::uint32_t cum_ack = 0;
     bool have_proactive = false;
     std::uint32_t last_proactive_seq = 0;
-    /// Times each wire transmission (uid) reached the destination. The
-    /// budget is 1, plus one per injected duplicate recorded in dup_credit
-    /// (fed by on_link_fault_duplicated) — exactly-once delivery, extended
-    /// to exactly-(1+k)-times under injected duplication.
-    std::unordered_map<std::uint64_t, std::uint32_t> delivered_count;
+    /// Wire transmissions (uids) that reached the destination. The budget
+    /// per uid is 1, plus one per injected duplicate recorded in
+    /// dup_credit (fed by on_link_fault_duplicated) — exactly-once
+    /// delivery, extended to exactly-(1+k)-times under injected
+    /// duplication. Arrivals beyond the first are counted in
+    /// repeat_deliveries, which only a repeat touches.
+    transport::UidSet delivered;
+    std::unordered_map<std::uint64_t, std::uint32_t> repeat_deliveries;
     std::unordered_map<std::uint64_t, std::uint32_t> dup_credit;
-    /// Segment indices observed as data packets on any link. Some schemes
-    /// (RC3's RLP copies) transmit outside the scoreboard path, so
-    /// sacked=>sent is checked against the wire, not the scoreboard alone.
-    std::unordered_set<std::uint32_t> wire_seqs;
+    /// Bitset of segment indices observed as data packets on any link.
+    /// Some schemes (RC3's RLP copies) transmit outside the scoreboard
+    /// path, so sacked=>sent is checked against the wire, not the
+    /// scoreboard alone.
+    std::vector<std::uint64_t> wire_seqs;
+
+    void mark_on_wire(std::uint32_t seq) {
+      const std::size_t word = seq / 64;
+      if (word >= wire_seqs.size()) [[unlikely]] grow_wire_seqs(word);
+      wire_seqs[word] |= std::uint64_t{1} << (seq % 64);
+    }
+    void grow_wire_seqs(std::size_t word);
+    bool on_wire(std::uint32_t seq) const {
+      const std::size_t word = seq / 64;
+      return word < wire_seqs.size() && ((wire_seqs[word] >> (seq % 64)) & 1U) != 0;
+    }
   };
 
-  void violation(std::string what);
-  void mix(std::uint64_t value);
+  void violation(std::string what) override;
   QueueShadow& queue_shadow(const net::PacketQueue& queue);
   LinkShadow& link_shadow(const net::Link& link);
+  FlowShadow& flow_shadow(std::uint64_t flow);
+  QueueShadow& claim_queue_shadow(const net::PacketQueue& queue);
+  LinkShadow& claim_link_shadow(const net::Link& link);
+  FlowShadow& claim_flow_shadow(std::uint64_t flow);
 
   std::vector<std::string> violations_;
   std::uint64_t total_violations_ = 0;
-  std::uint64_t trace_hash_ = 14695981039346656037ULL;  ///< FNV-1a offset basis
 
-  // Event-engine state.
-  bool have_last_event_ = false;
-  sim::Time last_event_time_;
-  std::uint64_t last_event_seq_ = 0;
-
-  std::unordered_map<const net::PacketQueue*, QueueShadow> queues_;
-  std::unordered_map<const net::Link*, LinkShadow> links_;
-  std::unordered_map<std::uint64_t, FlowShadow> flows_;
+  std::vector<QueueShadow> queues_;  ///< indexed by the owning link's id
+  std::vector<LinkShadow> links_;    ///< indexed by net::Link::id()
+  std::unordered_map<const net::PacketQueue*, QueueShadow> bare_queues_;
+  std::unordered_map<const net::Link*, LinkShadow> bare_links_;
+  std::vector<FlowShadow> flows_;    ///< indexed by flow id
+  std::unordered_map<std::uint64_t, FlowShadow> sparse_flows_;
 };
 
 }  // namespace halfback::audit

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "telemetry/export.h"
@@ -126,33 +127,38 @@ RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario
 
 /// Write one cell's telemetry triple next to each other in `dir`. The hub
 /// is per-cell (cells run on sweep threads), so no synchronization needed.
+/// Write one export file through `write`; a file that cannot be opened or
+/// written throws, which the supervisor records against the cell.
+template <typename Write>
+void write_export(const std::string& path, Write&& write) {
+  std::ofstream out{path};
+  if (out) write(out);
+  out.flush();
+  if (!out) throw std::runtime_error{"telemetry export: cannot write " + path};
+}
+
 void export_cell(const std::string& dir, const ChaosScenario& scenario,
                  schemes::Scheme scheme, const telemetry::Hub& hub,
                  const telemetry::RunManifest& manifest, sim::Time end) {
   const std::string stem =
       dir + "/" + scenario.name + "-" + schemes::name(scheme);
-  {
-    std::ofstream out{stem + ".metrics.jsonl"};
+  write_export(stem + ".metrics.jsonl", [&](std::ostream& out) {
     telemetry::write_metrics_jsonl(out, hub.registry());
-  }
-  {
-    // The full-hub overload: the tape events plus the causal span log as
-    // nested B/E duration events on pid 3.
-    std::ofstream out{stem + ".trace.json"};
+  });
+  // The full-hub overload: the tape events plus the causal span log as
+  // nested B/E duration events on pid 3.
+  write_export(stem + ".trace.json", [&](std::ostream& out) {
     telemetry::write_chrome_trace(out, hub, end);
-  }
-  {
-    std::ofstream out{stem + ".spans.jsonl"};
+  });
+  write_export(stem + ".spans.jsonl", [&](std::ostream& out) {
     telemetry::write_spans_jsonl(out, hub.spans(), end);
-  }
-  {
-    std::ofstream out{stem + ".series.jsonl"};
+  });
+  write_export(stem + ".series.jsonl", [&](std::ostream& out) {
     telemetry::write_timeseries_jsonl(out, hub);
-  }
-  {
-    std::ofstream out{stem + ".manifest.json"};
+  });
+  write_export(stem + ".manifest.json", [&](std::ostream& out) {
     telemetry::write_manifest_json(out, manifest, &hub.registry());
-  }
+  });
 }
 
 ChaosCell summarize(const ChaosScenario& scenario, schemes::Scheme scheme,

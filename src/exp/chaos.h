@@ -97,8 +97,9 @@ struct ChaosSweepConfig {
   bool verify_determinism = false;
   /// When non-empty, each cell runs with its own telemetry hub and writes
   /// `<dir>/<scenario>-<scheme>.{metrics.jsonl,trace.json,manifest.json}`
-  /// there (the directory must already exist). Purely observational: cell
-  /// results and trace hashes are identical with or without it.
+  /// there (the directory must already exist; a file that cannot be
+  /// written fails the cell). Purely observational: cell results and trace
+  /// hashes are identical with or without it.
   std::string telemetry_dir;
   /// Fill each cell's p50/p99/p99.9 FCT columns from a per-cell telemetry
   /// hub's FCT histogram. Purely observational (the hub never perturbs the

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,30 +28,6 @@ struct ShardFailure {
   std::string message;
 };
 
-/// Thrown by parallel_for when two or more shards fail before the early
-/// stop drains the queue. Failures are ordered by shard index, so a
-/// supervised sweep can report every failing cell instead of only the
-/// first one the scheduler happened to finish.
-class AggregateError : public std::runtime_error {
- public:
-  explicit AggregateError(std::vector<ShardFailure> failures)
-      : std::runtime_error{format(failures)}, failures_{std::move(failures)} {}
-
-  const std::vector<ShardFailure>& failures() const { return failures_; }
-
- private:
-  static std::string format(const std::vector<ShardFailure>& failures) {
-    std::string out =
-        std::to_string(failures.size()) + " parallel_for shards failed:";
-    for (const ShardFailure& f : failures) {
-      out += " [" + std::to_string(f.index) + "] " + f.message + ";";
-    }
-    return out;
-  }
-
-  std::vector<ShardFailure> failures_;
-};
-
 /// Failure capture shared by parallel_for workers. capture() races from
 /// worker threads; rethrow_if_any() runs on the calling thread after every
 /// worker has joined (it still takes the lock — join already ordered the
@@ -65,10 +40,11 @@ class FailureLog {
     entries_.push_back({index, std::current_exception()});
   }
 
-  /// No failure: returns. Exactly one: rethrows the original exception,
-  /// type intact. Two or more: throws an AggregateError carrying every
-  /// (index, message) pair, index order.
-  void rethrow_if_any() HB_EXCLUDES(mu_) {
+  /// No failure: returns. Otherwise rethrows the exception of the lowest
+  /// failing index, type intact, whichever worker logged first — so the
+  /// outcome does not depend on scheduling. When `failures` is non-null it
+  /// first receives every logged (index, message) pair, index order.
+  void rethrow_if_any(std::vector<ShardFailure>* failures) HB_EXCLUDES(mu_) {
     std::vector<Entry> entries;
     {
       MutexLock lock{mu_};
@@ -77,13 +53,12 @@ class FailureLog {
     if (entries.empty()) return;
     std::sort(entries.begin(), entries.end(),
               [](const Entry& a, const Entry& b) { return a.index < b.index; });
-    if (entries.size() == 1) std::rethrow_exception(entries.front().error);
-    std::vector<ShardFailure> failures;
-    failures.reserve(entries.size());
-    for (const Entry& entry : entries) {
-      failures.push_back({entry.index, describe(entry.error)});
+    if (failures != nullptr) {
+      for (const Entry& entry : entries) {
+        failures->push_back({entry.index, describe(entry.error)});
+      }
     }
-    throw AggregateError{std::move(failures)};
+    std::rethrow_exception(entries.front().error);
   }
 
  private:
@@ -113,21 +88,32 @@ class FailureLog {
 /// without running further tasks, and the calling thread rethrows after
 /// all workers join — instead of std::terminate tearing the process down
 /// mid-campaign. Tasks already in flight when the stop flag goes up may
-/// fail too; every logged failure is reported (see FailureLog). The serial
-/// path (one worker) propagates the first exception directly.
+/// fail too. The rethrown exception is always the lowest failing index's,
+/// type intact; pass `failures` to also receive every logged failure, in
+/// index order (see FailureLog). The serial path (one worker) stops at the
+/// first failure, which is then also the lowest.
 inline void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                         unsigned threads = 0) {
+                         unsigned threads = 0,
+                         std::vector<ShardFailure>* failures = nullptr) {
   if (count == 0) return;
   unsigned n = threads != 0 ? threads : std::thread::hardware_concurrency();
   if (n == 0) n = 4;
   n = static_cast<unsigned>(std::min<std::size_t>(n, count));
+  FailureLog log;
   if (n <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        log.capture(i);
+        break;
+      }
+    }
+    log.rethrow_if_any(failures);
     return;
   }
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  FailureLog failures;
   std::vector<std::thread> workers;
   workers.reserve(n);
   for (unsigned w = 0; w < n; ++w) {
@@ -138,7 +124,7 @@ inline void parallel_for(std::size_t count, const std::function<void(std::size_t
         try {
           fn(i);
         } catch (...) {
-          failures.capture(i);
+          log.capture(i);
           failed.store(true, std::memory_order_relaxed);
           return;
         }
@@ -146,7 +132,7 @@ inline void parallel_for(std::size_t count, const std::function<void(std::size_t
     });
   }
   for (std::thread& t : workers) t.join();
-  failures.rethrow_if_any();
+  log.rethrow_if_any(failures);
 }
 
 }  // namespace halfback::exp

@@ -131,6 +131,11 @@ class Link {
   /// may be dropped by the queue discipline.
   void send(Packet p) HB_EFFECTS(alloc, throw);
 
+  /// Dense index within the owning Network (creation order, from 0),
+  /// assigned by Network::make_link; kNoLinkId for a link built bare.
+  /// Auditors index their per-link shadow state by it.
+  std::uint32_t id() const { return id_; }
+
   sim::DataRate rate() const { return rate_; }
   sim::Time propagation_delay() const { return delay_; }
   PacketQueue& queue() { return *queue_; }
@@ -146,6 +151,14 @@ class Link {
   }
 
  private:
+  friend class Network;  // numbers the links it creates
+
+  /// Set this link's id and stamp it on its queue.
+  void assign_id(std::uint32_t id) {
+    id_ = id;
+    queue_->link_id_ = id;
+  }
+
   /// Serialization-complete event; one per link, reused for every packet
   /// (the transmitter serializes strictly one at a time).
   class TxDoneEvent final : public sim::Event {
@@ -174,6 +187,7 @@ class Link {
   void deliver(PacketEvent& node);
 
   sim::Simulator& simulator_;
+  std::uint32_t id_ = kNoLinkId;
   sim::DataRate rate_;
   sim::Time delay_;
   std::unique_ptr<PacketQueue> queue_;

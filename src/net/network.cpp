@@ -39,6 +39,7 @@ Link* Network::make_link(NodeId from, NodeId to, const LinkConfig& config) {
                                      std::move(queue), config.random_loss_rate,
                                      &pool_);
   Link* raw = link.get();
+  raw->assign_id(static_cast<std::uint32_t>(links_.size()));
   raw->set_receiver_node(*nodes_.at(to));
   nodes_.at(from)->add_egress(to, raw);
   links_.push_back(std::move(link));

@@ -27,6 +27,9 @@ enum class QueueKind : std::uint8_t {
   priority,   ///< two-band strict priority (RC3's in-network support)
 };
 
+/// Link id of a link (or a link's queue) that no Network numbered.
+inline constexpr std::uint32_t kNoLinkId = UINT32_MAX;
+
 /// Counters every queue maintains.
 struct QueueStats {
   std::uint64_t enqueued_packets = 0;
@@ -68,6 +71,10 @@ class PacketQueue {
   void set_auditor(audit::Auditor* auditor) { auditor_ = auditor; }
   audit::Auditor* auditor() const { return auditor_; }
 
+  /// Id of the link this queue feeds (see Link::id), kNoLinkId for a queue
+  /// outside a Network. Auditors key their queue shadows on it.
+  std::uint32_t link_id() const { return link_id_; }
+
   /// Attach this queue's flight-recorder tape (nullptr detaches; owned by
   /// the telemetry Hub). Drops are recorded on it; see
   /// telemetry::Hub::instrument_network.
@@ -104,9 +111,12 @@ class PacketQueue {
   void record_dequeue(const Packet& p);
 
  private:
+  friend class Link;  // stamps link_id_ when a Network numbers the link
+
   QueueStats stats_;
   std::function<void(const Packet&)> drop_callback_;
   audit::Auditor* auditor_ = nullptr;
+  std::uint32_t link_id_ = kNoLinkId;
   telemetry::Tape* tape_ = nullptr;  ///< not owned; nullptr = no recording
   telemetry::WindowSeries* series_ = nullptr;  ///< not owned; nullptr = none
 };

@@ -1,6 +1,6 @@
 // The event queue at the heart of the discrete-event engine.
 //
-// The queue is an indexed binary min-heap over *intrusive* events: an Event
+// The queue is an indexed 4-ary min-heap over *intrusive* events: an Event
 // carries its own deadline, FIFO sequence number, and heap slot, so
 // scheduling, O(log n) cancellation, and in-place reschedule never allocate.
 // Components that fire the same logical event repeatedly (retransmission

@@ -73,8 +73,11 @@ bool Table::write_csv(const std::string& path) const {
     return false;
   }
   const std::string csv = to_csv();
-  std::fwrite(csv.data(), 1, csv.size(), f);
-  std::fclose(f);
+  const bool written = std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
   return true;
 }
 

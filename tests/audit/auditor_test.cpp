@@ -6,10 +6,12 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <random>
 #include <utility>
 
 #include "audit/invariant_auditor.h"
 #include "net/link.h"
+#include "net/network.h"
 #include "net/packet.h"
 #include "net/queue.h"
 #include "sim/simulator.h"
@@ -187,11 +189,17 @@ TEST(InvariantAuditorTest, OverFullQueueIsFlagged) {
   InvariantAuditor auditor;
   OverfullQueue queue{2'000};
   queue.set_auditor(&auditor);
+  // A bare queue: no link, no link id, so its shadow is a fallback slot.
+  ASSERT_EQ(queue.link_id(), net::kNoLinkId);
 
   ASSERT_TRUE(queue.enqueue(make_data_packet(1), sim::Time::zero()));
   EXPECT_TRUE(auditor.ok());
   ASSERT_TRUE(queue.enqueue(make_data_packet(2), sim::Time::zero()));  // 3000 B > 2000 B
-  EXPECT_FALSE(auditor.ok());
+  ASSERT_EQ(auditor.violations().size(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations()[0], "queue over-full: holds 3000 B, capacity 2000 B");
+  ASSERT_TRUE(queue.dequeue(sim::Time::zero()).has_value());
+  auditor.finalize(/*drained=*/false);
+  EXPECT_EQ(auditor.total_violations(), 1u) << auditor.report();
 }
 
 TEST(InvariantAuditorTest, DropTailAccountingIsClean) {
@@ -294,6 +302,205 @@ TEST(InvariantAuditorTest, ForwardAblationIsExemptFromRoprOrder) {
   auditor.on_segment_sent(scoreboard, 1, "halfback-forward", 2, true, 11);
   auditor.on_segment_sent(scoreboard, 1, "halfback-forward", 3, true, 12);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
+}
+
+// --- exact FNV fast path ----------------------------------------------------
+
+/// The byte-serial FNV-1a step the trace hash has always used.
+std::uint64_t reference_fnv1a(std::uint64_t hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xffULL;
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
+TEST(FnvFastPathTest, EdgeValuesMatchTheByteSerialLoop) {
+  for (std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xff}, std::uint64_t{0x100},
+        std::uint64_t{1} << 56, ~std::uint64_t{0}, std::uint64_t{0x0100000000000001},
+        std::uint64_t{0x00ff00ff00ff00ff}}) {
+    EXPECT_EQ(fnv1a_mix(kFnvOffsetBasis, value), reference_fnv1a(kFnvOffsetBasis, value))
+        << std::hex << value;
+  }
+}
+
+TEST(FnvFastPathTest, RandomValuesWithInteriorZeroBytesMatchTheByteSerialLoop) {
+  std::mt19937_64 rng{20151201};
+  std::uint64_t fast = kFnvOffsetBasis;
+  std::uint64_t reference = kFnvOffsetBasis;
+  for (int i = 0; i < 100'000; ++i) {
+    std::uint64_t value = rng();
+    // Zero a random subset of bytes (interior ones included) and shorten
+    // the value to a random width, so every significant-byte count and
+    // every zero-byte pattern occurs.
+    const std::uint64_t keep_bytes = rng();
+    for (int b = 0; b < 8; ++b) {
+      if (((keep_bytes >> b) & 1U) == 0) value &= ~(0xffULL << (8 * b));
+    }
+    value >>= 8 * (rng() % 8);
+    fast = fnv1a_mix(fast, value);
+    reference = reference_fnv1a(reference, value);
+    ASSERT_EQ(fast, reference) << "after " << i << " values, last " << std::hex << value;
+  }
+}
+
+TEST(FnvFastPathTest, EventHooksFoldTimeThenSeqIntoTheTraceHash) {
+  InvariantAuditor auditor;
+  EXPECT_EQ(auditor.trace_hash(), kFnvOffsetBasis);
+  auditor.on_event_run(sim::Time::nanoseconds(1'234'567'890'123), 0x10002);
+  const std::uint64_t expected = reference_fnv1a(
+      reference_fnv1a(kFnvOffsetBasis, 1'234'567'890'123), 0x10002);
+  EXPECT_EQ(auditor.trace_hash(), expected);
+}
+
+// --- dense shadows and their fallbacks ---------------------------------------
+
+TEST(InvariantAuditorTest, EventViolationMessagesAreUnchanged) {
+  InvariantAuditor auditor;
+  auditor.on_event_scheduled(5_ms, 1_ms);
+  auditor.on_event_run(2_ms, 7);
+  auditor.on_event_run(2_ms, 7);
+  auditor.on_event_run(1_ms, 8);
+  ASSERT_EQ(auditor.violations().size(), 3u) << auditor.report();
+  EXPECT_EQ(auditor.violations()[0],
+            "event scheduled in the past: at=" + (1_ms).to_string() +
+                " now=" + (5_ms).to_string());
+  EXPECT_EQ(auditor.violations()[1], "FIFO tie-break violated at " +
+                                         (2_ms).to_string() +
+                                         ": seq 7 ran before seq 7");
+  EXPECT_EQ(auditor.violations()[2], "event time went backwards: " +
+                                         (2_ms).to_string() + " -> " +
+                                         (1_ms).to_string());
+}
+
+TEST(InvariantAuditorTest, SparseFlowIdDoubleDeliveryIsFlagged) {
+  InvariantAuditor auditor;
+  net::Packet p = make_data_packet(/*uid=*/7, /*seq=*/3);
+  p.flow = std::uint64_t{1} << 40;
+  auditor.on_node_received(2, p);
+  // A dense flow with the same uid is a different flow: no cross-talk.
+  auditor.on_node_received(2, make_data_packet(/*uid=*/7, /*seq=*/3));
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  auditor.on_node_received(2, p);
+  ASSERT_EQ(auditor.violations().size(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations()[0],
+            "packet delivered to its destination more often than sent: flow "
+            "1099511627776 seq 3 uid 7 arrived 2x with a budget of 1 "
+            "(1 + injected duplicates)");
+}
+
+TEST(InvariantAuditorTest, SparseFlowShadowMovesIntoTheDenseTableIntact) {
+  // A flow first seen as sparse (far beyond the table) keeps its books
+  // when the dense table later grows to cover its id.
+  InvariantAuditor auditor;
+  net::Packet p = make_data_packet(/*uid=*/5);
+  p.flow = 200;
+  auditor.on_node_received(2, p);
+  for (std::uint64_t flow = 1; flow <= 300; ++flow) {
+    net::Packet other = make_data_packet(/*uid=*/1000 + flow);
+    other.flow = flow;
+    if (flow != 200) auditor.on_node_received(2, other);
+  }
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  auditor.on_node_received(2, p);
+  EXPECT_EQ(auditor.total_violations(), 1u) << auditor.report();
+}
+
+TEST(InvariantAuditorTest, SackBeyondTheWireBitsetIsFlagged) {
+  sim::Simulator sim{1};
+  net::Link link{sim, sim::DataRate::megabits_per_second(10), 1_ms,
+                 std::make_unique<net::DropTailQueue>(1 << 20), 0.0};
+  InvariantAuditor auditor;
+  transport::Scoreboard scoreboard{1000};
+  for (std::uint32_t seq = 0; seq < 5; ++seq) {
+    scoreboard.on_sent(seq, seq + 1, 1_ms, false);
+  }
+  // Segment 650 crossed the wire outside the scoreboard (RC3's RLP copies
+  // do this): SACKing it is legitimate.
+  auditor.on_link_offered(link, make_data_packet(/*uid=*/99, /*seq=*/650));
+  net::Packet ack;
+  ack.type = net::PacketType::ack;
+  auditor.on_ack_applied(scoreboard, 1, ack, scoreboard.apply_ack(0, {{650, 651}}));
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  // Segment 900 lies past every bit the wire trace has set so far.
+  auditor.on_ack_applied(scoreboard, 1, ack, scoreboard.apply_ack(0, {{900, 901}}));
+  ASSERT_EQ(auditor.violations().size(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations()[0], "segment 900 of flow 1 was SACKed but never sent");
+}
+
+TEST(InvariantAuditorTest, DupCreditBudgetIsExactlyOnePlusK) {
+  sim::Simulator sim{1};
+  net::Link link{sim, sim::DataRate::megabits_per_second(10), 1_ms,
+                 std::make_unique<net::DropTailQueue>(1 << 20), 0.0};
+  InvariantAuditor auditor;
+  const net::Packet p = make_data_packet(/*uid=*/31, /*seq=*/4);
+  for (int k = 0; k < 3; ++k) auditor.on_link_fault_duplicated(link, p);
+  for (int arrival = 0; arrival < 4; ++arrival) auditor.on_node_received(2, p);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  auditor.on_node_received(2, p);
+  ASSERT_EQ(auditor.violations().size(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations()[0],
+            "packet delivered to its destination more often than sent: flow 1 "
+            "seq 4 uid 31 arrived 5x with a budget of 4 (1 + injected duplicates)");
+}
+
+TEST(InvariantAuditorTest, TwoNetworksWithTheirOwnAuditorsDoNotCrossTalk) {
+#ifndef HALFBACK_AUDIT
+  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
+#endif
+  testing::DumbbellFixture a;
+  testing::DumbbellFixture b;
+  InvariantAuditor auditor_a;
+  InvariantAuditor auditor_b;
+  a.net.install_auditor(auditor_a);
+  b.net.install_auditor(auditor_b);
+  // Both networks number their links from 0: the ids collide, the books
+  // must not.
+  ASSERT_EQ(a.dumbbell.bottleneck_forward->id(), b.dumbbell.bottleneck_forward->id());
+
+  a.start(schemes::Scheme::halfback, 100'000);
+  b.start(schemes::Scheme::halfback, 100'000);
+  a.sim.run();
+  b.sim.run();
+  auditor_a.finalize(a.sim.queue().empty());
+  auditor_b.finalize(b.sim.queue().empty());
+  EXPECT_TRUE(auditor_a.ok()) << auditor_a.report();
+  EXPECT_TRUE(auditor_b.ok()) << auditor_b.report();
+  EXPECT_EQ(auditor_a.trace_hash(), auditor_b.trace_hash());
+
+  // A phantom delivery on network a's bottleneck breaks only a's books.
+  auditor_a.on_link_delivered(*a.dumbbell.bottleneck_forward, make_data_packet(77));
+  EXPECT_FALSE(auditor_a.ok());
+  EXPECT_TRUE(auditor_b.ok()) << auditor_b.report();
+}
+
+TEST(InvariantAuditorTest, LinkWhoseIdIsTakenKeepsItsOwnBooks) {
+  // One auditor shown the links of two networks: the second network's
+  // link 0 finds the dense slot taken and falls back to its own shadow.
+  sim::Simulator sim{1};
+  net::Network first{sim};
+  net::Network second{sim};
+  for (net::Network* network : {&first, &second}) {
+    network->add_node();
+    network->add_node();
+  }
+  net::LinkConfig config;
+  config.rate = sim::DataRate::megabits_per_second(10);
+  config.delay = 1_ms;
+  net::Link& link_a = *first.connect(0, 1, config).forward;
+  net::Link& link_b = *second.connect(0, 1, config).forward;
+  ASSERT_EQ(link_a.id(), link_b.id());
+  InvariantAuditor auditor;
+  auditor.on_link_registered(link_a);
+  auditor.on_link_registered(link_b);
+  auditor.on_link_offered(link_a, make_data_packet(1));
+  auditor.on_link_delivered(link_a, make_data_packet(1));
+  auditor.on_link_delivered(link_b, make_data_packet(2));  // never offered on b
+  ASSERT_EQ(auditor.violations().size(), 1u) << auditor.report();
+  EXPECT_EQ(auditor.violations()[0],
+            "link delivered more packets than were offered: offered=0 (+0 "
+            "duplicated) delivered=1 (uid 2)");
 }
 
 // --- reporting --------------------------------------------------------------

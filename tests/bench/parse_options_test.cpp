@@ -5,15 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 namespace halfback::bench {
 namespace {
 
-Options parse(std::vector<const char*> args) {
+Options parse(std::vector<const char*> args, bool honours_telemetry = false) {
   args.insert(args.begin(), "bench_test");
   return parse_options(static_cast<int>(args.size()),
-                       const_cast<char**>(args.data()));
+                       const_cast<char**>(args.data()), honours_telemetry);
 }
 
 TEST(ParseOptions, ParsesValidNumericFlags) {
@@ -36,7 +38,8 @@ TEST(ParseOptions, DefaultsSurviveWhenFlagsAbsent) {
 }
 
 TEST(ParseOptions, ParsesPercentilesAndTelemetryFlags) {
-  const Options opt = parse({"--percentiles", "--telemetry=/tmp/telem"});
+  const Options opt =
+      parse({"--percentiles", "--telemetry=/tmp/telem"}, /*honours_telemetry=*/true);
   EXPECT_TRUE(opt.percentiles);
   EXPECT_EQ(opt.telemetry_dir, "/tmp/telem");
 }
@@ -114,6 +117,45 @@ TEST(ParseOptionsDeath, RejectsNonNumericDuration) {
 TEST(ParseOptionsDeath, RejectsNegativeDuration) {
   EXPECT_EXIT(parse({"--duration=-1.5"}), ::testing::ExitedWithCode(2),
               "--duration expects a non-negative number of seconds");
+}
+
+TEST(ParseOptionsDeath, RejectsTelemetryWhereTheBenchIgnoresIt) {
+  EXPECT_EXIT(parse({"--telemetry=/tmp/telem"}), ::testing::ExitedWithCode(2),
+              "--telemetry is not supported by this bench");
+}
+
+TEST(ParseOptionsDeath, RejectsEmptyTelemetryDir) {
+  EXPECT_EXIT(parse({"--telemetry="}, /*honours_telemetry=*/true),
+              ::testing::ExitedWithCode(2), "--telemetry expects a directory");
+}
+
+TEST(OutputFiles, MakeOutputDirCreatesNestedDirectories) {
+  const std::filesystem::path root =
+      std::filesystem::path{::testing::TempDir()} / "hb_make_output_dir";
+  std::filesystem::remove_all(root);
+  make_output_dir((root / "a" / "b").string());
+  EXPECT_TRUE(std::filesystem::is_directory(root / "a" / "b"));
+  write_file((root / "a" / "b" / "x.txt").string(),
+             [](std::ostream& out) { out << "hello\n"; });
+  EXPECT_EQ(std::filesystem::file_size(root / "a" / "b" / "x.txt"), 6u);
+  std::filesystem::remove_all(root);
+}
+
+TEST(OutputFilesDeath, UnwritableFileExitsNonZero) {
+  const std::string missing =
+      (std::filesystem::path{::testing::TempDir()} / "hb_no_such_dir" / "x.txt")
+          .string();
+  EXPECT_EXIT(write_file(missing, [](std::ostream& out) { out << "x"; }),
+              ::testing::ExitedWithCode(1), "cannot write");
+}
+
+TEST(OutputFilesDeath, OutputDirUnderAFileExitsNonZero) {
+  const std::filesystem::path file =
+      std::filesystem::path{::testing::TempDir()} / "hb_plain_file";
+  write_file(file.string(), [](std::ostream& out) { out << "x"; });
+  EXPECT_EXIT(make_output_dir((file / "sub").string()), ::testing::ExitedWithCode(1),
+              "cannot create output directory");
+  std::filesystem::remove(file);
 }
 
 TEST(ParseOptionsDeath, RejectsUnknownOption) {

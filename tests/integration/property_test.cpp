@@ -10,7 +10,10 @@
 //   * determinism— identical seeds give identical results.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "net/topology.h"
 #include "schemes/factory.h"
@@ -39,12 +42,21 @@ std::string scheme_label(Scheme s) {
   return n;
 }
 
+// gtest names each case below after the raw bytes of its parameter, so the
+// trial structs spell out the bytes the compiler would otherwise leave as
+// padding and zero them: uninitialised padding held stack and heap addresses,
+// which gave some cases a different name on every run.
+using ZeroPadding = std::array<std::uint8_t, 8 - sizeof(Scheme)>;
+
 // ---------------------------------------------------------------- lossy path
 
 struct LossyTrial {
   Scheme scheme;
+  ZeroPadding padding{};
   double loss_rate;
 };
+static_assert(std::has_unique_object_representations_v<ZeroPadding> &&
+              sizeof(LossyTrial) == 16);
 
 class LossyPathTest : public ::testing::TestWithParam<LossyTrial> {};
 
@@ -89,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<LossyTrial> trials;
       for (Scheme s : kAllSchemes) {
         for (double loss : {0.0, 0.01, 0.05, 0.15}) {
-          trials.push_back({s, loss});
+          trials.push_back({s, {}, loss});
         }
       }
       return trials;
@@ -103,8 +115,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct SizeTrial {
   Scheme scheme;
+  ZeroPadding padding{};
   std::uint64_t bytes;
 };
+static_assert(std::has_unique_object_representations_v<SizeTrial>);
 
 class FlowSizeEdgeTest : public ::testing::TestWithParam<SizeTrial> {};
 
@@ -130,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
         for (std::uint64_t bytes : {std::uint64_t{1}, std::uint64_t{1448},
                                     std::uint64_t{1449}, std::uint64_t{141'000},
                                     std::uint64_t{500'000}}) {
-          trials.push_back({s, bytes});
+          trials.push_back({s, {}, bytes});
         }
       }
       return trials;
