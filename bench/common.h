@@ -14,6 +14,7 @@
 #include <fstream>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "schemes/scheme.h"
@@ -85,11 +86,54 @@ inline double parse_number(const char* flag, const char* v) {
   return parsed;
 }
 
-/// Parse the shared flags; exits 2 on anything malformed or unknown.
-/// --telemetry=DIR is accepted only from a bench that writes telemetry
-/// (`honours_telemetry`); every other bench rejects it rather than
-/// accepting and ignoring it.
-inline Options parse_options(int argc, char** argv, bool honours_telemetry = false) {
+/// The shared flags, as bits: each bench passes parse_options() the set it
+/// reads, and every other shared flag is refused.
+enum Flag : unsigned {
+  kFull = 1u << 0,         ///< --full
+  kSeed = 1u << 1,         ///< --seed=N
+  kThreads = 1u << 2,      ///< --threads=N
+  kPairs = 1u << 3,        ///< --pairs=N
+  kDuration = 1u << 4,     ///< --duration=SECONDS
+  kReps = 1u << 5,         ///< --reps=N
+  kCsv = 1u << 6,          ///< --csv=DIR
+  kTelemetry = 1u << 7,    ///< --telemetry=DIR
+  kPercentiles = 1u << 8,  ///< --percentiles
+  /// --allow-quarantine, --budget-events, --storm-window, --storm-rate,
+  /// --cell-attempts and --quarantine.
+  kSupervision = 1u << 9,
+};
+using Flags = unsigned;
+
+/// The --help line of a bench that accepts `accepted`.
+inline std::string usage(const char* bench, Flags accepted) {
+  static constexpr std::pair<Flags, const char*> kSpellings[] = {
+      {kFull, " [--full]"},
+      {kSeed, " [--seed=N]"},
+      {kThreads, " [--threads=N]"},
+      {kPairs, " [--pairs=N]"},
+      {kDuration, " [--duration=SECONDS]"},
+      {kReps, " [--reps=N]"},
+      {kCsv, " [--csv=DIR]"},
+      {kTelemetry, " [--telemetry=DIR]"},
+      {kPercentiles, " [--percentiles]"},
+      {kSupervision,
+       " [--allow-quarantine] [--budget-events=N] [--storm-window=N]"
+       " [--storm-rate=EVENTS_PER_SIM_SECOND] [--cell-attempts=N]"
+       " [--quarantine=FILE]"},
+  };
+  std::string line = std::string{"usage: "} + bench;
+  for (const auto& [flag, text] : kSpellings) {
+    if ((accepted & flag) != 0) line += text;
+  }
+  return line;
+}
+
+/// Parse the shared flags; exits 2 on anything malformed or unknown, and on
+/// a shared flag outside `accepted` — a flag a bench would accept and then
+/// ignore. --help lists only the accepted flags.
+inline Options parse_options(int argc, char** argv, Flags accepted) {
+  const char* bench = std::strrchr(argv[0], '/');
+  bench = bench != nullptr ? bench + 1 : argv[0];
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -97,56 +141,51 @@ inline Options parse_options(int argc, char** argv, bool honours_telemetry = fal
       const std::size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    // True when `flag` is accepted; exits 2 naming the bench otherwise.
+    auto accepts = [&](Flags flag) {
+      if ((accepted & flag) != 0) return true;
+      const std::string name = arg.substr(0, arg.find('='));
+      std::fprintf(stderr, "%s is not supported by this bench (%s); see --help\n",
+                   name.c_str(), bench);
+      std::exit(2);
+    };
     const char* v = nullptr;
-    if (arg == "--full") {
+    if (arg == "--full" && accepts(kFull)) {
       opt.full = true;
-    } else if ((v = value("--seed="))) {
+    } else if ((v = value("--seed=")) && accepts(kSeed)) {
       opt.seed = parse_count("--seed", v);
-    } else if ((v = value("--threads="))) {
+    } else if ((v = value("--threads=")) && accepts(kThreads)) {
       opt.threads = static_cast<unsigned>(parse_count("--threads", v));
-    } else if ((v = value("--pairs="))) {
+    } else if ((v = value("--pairs=")) && accepts(kPairs)) {
       opt.pairs = static_cast<int>(parse_count("--pairs", v));
-    } else if ((v = value("--duration="))) {
+    } else if ((v = value("--duration=")) && accepts(kDuration)) {
       opt.duration_s = parse_seconds("--duration", v);
-    } else if ((v = value("--reps="))) {
+    } else if ((v = value("--reps=")) && accepts(kReps)) {
       opt.replications = static_cast<int>(parse_count("--reps", v));
-    } else if ((v = value("--csv="))) {
+    } else if ((v = value("--csv=")) && accepts(kCsv)) {
       opt.csv_dir = v;
-    } else if ((v = value("--telemetry="))) {
-      if (!honours_telemetry) {
-        std::fprintf(stderr,
-                     "--telemetry is not supported by this bench "
-                     "(ext_chaos_matrix writes telemetry)\n");
-        std::exit(2);
-      }
+    } else if ((v = value("--telemetry=")) && accepts(kTelemetry)) {
       if (*v == '\0') {
         std::fprintf(stderr, "--telemetry expects a directory\n");
         std::exit(2);
       }
       opt.telemetry_dir = v;
-    } else if (arg == "--percentiles") {
+    } else if (arg == "--percentiles" && accepts(kPercentiles)) {
       opt.percentiles = true;
-    } else if (arg == "--allow-quarantine") {
+    } else if (arg == "--allow-quarantine" && accepts(kSupervision)) {
       opt.allow_quarantine = true;
-    } else if ((v = value("--budget-events="))) {
+    } else if ((v = value("--budget-events=")) && accepts(kSupervision)) {
       opt.budget_events = parse_count("--budget-events", v);
-    } else if ((v = value("--storm-window="))) {
+    } else if ((v = value("--storm-window=")) && accepts(kSupervision)) {
       opt.storm_window = parse_count("--storm-window", v);
-    } else if ((v = value("--storm-rate="))) {
+    } else if ((v = value("--storm-rate=")) && accepts(kSupervision)) {
       opt.storm_rate = parse_number("--storm-rate", v);
-    } else if ((v = value("--cell-attempts="))) {
+    } else if ((v = value("--cell-attempts=")) && accepts(kSupervision)) {
       opt.cell_attempts = parse_count("--cell-attempts", v);
-    } else if ((v = value("--quarantine="))) {
+    } else if ((v = value("--quarantine=")) && accepts(kSupervision)) {
       opt.quarantine_path = v;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--full] [--seed=N] [--threads=N] [--pairs=N] "
-          "[--duration=SECONDS] [--reps=N] [--csv=DIR]\n"
-          "       [--telemetry=DIR] (ext_chaos_matrix only) [--percentiles]\n"
-          "       [--allow-quarantine] [--budget-events=N] [--storm-window=N]\n"
-          "       [--storm-rate=EVENTS_PER_SIM_SECOND] [--cell-attempts=N]\n"
-          "       [--quarantine=FILE]\n",
-          argv[0]);
+      std::printf("%s\n", usage(bench, accepted).c_str());
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
@@ -167,6 +206,16 @@ inline void print_header(const char* figure, const char* description,
 
 inline const char* display(schemes::Scheme s) {
   return schemes::info(s).display_name;
+}
+
+/// Exit 1 when the audited runs behind a figure reported invariant
+/// violations (always zero when HALFBACK_AUDIT compiles the hooks out): a
+/// figure computed from runs that broke an engine invariant is not printed.
+inline void require_clean_audit(std::uint64_t violations) {
+  if (violations == 0) return;
+  std::fprintf(stderr, "invariant auditor reported %llu violations\n",
+               static_cast<unsigned long long>(violations));
+  std::exit(1);
 }
 
 /// Create `dir` (and its parents) for output, or exit 1 saying why.

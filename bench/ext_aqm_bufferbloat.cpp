@@ -16,7 +16,8 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration);
   bench::print_header("Extension: AQM x Halfback",
                       "bufferbloat with drop-tail vs CoDel bottleneck", opt);
 

@@ -22,7 +22,9 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv, /*honours_telemetry=*/true);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kCsv |
+      bench::kTelemetry | bench::kPercentiles | bench::kSupervision);
   if (!opt.telemetry_dir.empty()) bench::make_output_dir(opt.telemetry_dir);
   bench::print_header("Extension: chaos matrix",
                       "fault-injection catalog x schemes on the Emulab dumbbell",

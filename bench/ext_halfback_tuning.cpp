@@ -23,7 +23,8 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kSeed | bench::kThreads | bench::kDuration);
   bench::print_header("Extension: Halfback tuning",
                       "initial-burst refinement and ROPR bandwidth ratio", opt);
 

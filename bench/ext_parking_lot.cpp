@@ -10,12 +10,11 @@
 
 #include "common.h"
 #include "exp/parallel.h"
+#include "exp/run.h"
 #include "net/topology.h"
-#include "schemes/factory.h"
 #include "stats/summary.h"
-#include "workload/flow_schedule.h"
 #include "stats/table.h"
-#include "transport/agent.h"
+#include "workload/flow_schedule.h"
 
 using namespace halfback;
 
@@ -25,30 +24,20 @@ struct Result {
   stats::Summary fct_ms;
   double timeouts = 0;
   std::size_t flows = 0;
+  std::uint64_t audit_violations = 0;
 };
 
 Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
                  std::uint64_t seed, double duration_s) {
-  sim::Simulator simulator{seed};
-  net::Network network{simulator};
+  exp::Run run{seed};
+  sim::Simulator& simulator = run.simulator();
   net::ParkingLotConfig topo;
   topo.hops = hops;
-  net::ParkingLot lot = net::build_parking_lot(network, topo);
-
-  std::vector<std::unique_ptr<transport::TransportAgent>> agents;
-  auto agent_for = [&](net::NodeId id) -> transport::TransportAgent& {
-    agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-    return *agents.back();
-  };
-  transport::TransportAgent& main_sender = agent_for(lot.main_sender);
-  agent_for(lot.main_receiver);
-  std::vector<transport::TransportAgent*> cross_agents;
-  for (int h = 0; h < hops; ++h) {
-    cross_agents.push_back(&agent_for(lot.cross_senders[static_cast<std::size_t>(h)]));
-    agent_for(lot.cross_receivers[static_cast<std::size_t>(h)]);
-  }
-
-  schemes::SchemeContext context;
+  const net::ParkingLot lot = net::build_parking_lot(run.network(), topo);
+  const net::NodeId main_hosts[] = {lot.main_sender, lot.main_receiver};
+  run.attach_hosts(main_hosts);
+  run.attach_hosts(lot.cross_senders);
+  run.attach_hosts(lot.cross_receivers);
   net::FlowId next_flow = 1;
 
   // Per-hop cross traffic: TCP flows at the requested hop utilization.
@@ -62,12 +51,10 @@ Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
         workload::make_schedule(workload::FlowSizeDist::fixed(100'000), sc, rng);
     for (const workload::FlowArrival& arrival : schedule) {
       const net::FlowId flow = next_flow++;
-      simulator.schedule_at(arrival.at, [&, h, flow, bytes = arrival.bytes] {
-        auto sender = schemes::make_sender(
-            schemes::Scheme::tcp, context, simulator,
-            network.node(lot.cross_senders[static_cast<std::size_t>(h)]),
-            lot.cross_receivers[static_cast<std::size_t>(h)], flow, bytes);
-        cross_agents[static_cast<std::size_t>(h)]->start_flow(std::move(sender));
+      const auto hop = static_cast<std::size_t>(h);
+      simulator.schedule_at(arrival.at, [&, hop, flow, bytes = arrival.bytes] {
+        run.start_flow(schemes::Scheme::tcp, lot.cross_senders[hop],
+                       lot.cross_receivers[hop], flow, bytes);
       });
     }
   }
@@ -78,14 +65,11 @@ Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
   for (double t = 1.0; t < duration_s; t += 2.0) {
     const net::FlowId flow = next_flow++;
     simulator.schedule_at(sim::Time::seconds(t), [&, flow] {
-      auto sender =
-          schemes::make_sender(scheme, context, simulator,
-                               network.node(lot.main_sender), lot.main_receiver,
-                               flow, 100'000);
-      main_flows.push_back(&main_sender.start_flow(std::move(sender)));
+      main_flows.push_back(
+          &run.start_flow(scheme, lot.main_sender, lot.main_receiver, flow, 100'000));
     });
   }
-  simulator.run_until(sim::Time::seconds(duration_s + 30));
+  run.run_until(sim::Time::seconds(duration_s + 30));
 
   for (transport::SenderBase* flow : main_flows) {
     ++result.flows;
@@ -94,13 +78,15 @@ Result run_chain(schemes::Scheme scheme, int hops, double cross_utilization,
                           : (simulator.now() - flow->record().start_time).to_ms());
     result.timeouts += flow->record().timeouts;
   }
+  result.audit_violations = run.finish().audit_violations;
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration);
   bench::print_header("Extension: parking lot",
                       "short flows across multi-bottleneck chains", opt);
 
@@ -130,6 +116,7 @@ int main(int argc, char** argv) {
                                    opt.seed, duration_s);
       },
       opt.threads);
+  for (const Job& job : jobs) bench::require_clean_audit(job.result.audit_violations);
 
   stats::Table table{{"hops", "cross util %", "scheme", "mean FCT (ms)",
                       "median (ms)", "timeouts/flow"}};

@@ -17,7 +17,8 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kSeed | bench::kThreads | bench::kDuration);
   bench::print_header("Extension: RC3 vs Halfback",
                       "in-network priority vs sender-only recovery", opt);
 

@@ -9,7 +9,7 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(argc, argv, bench::kSeed);
   bench::print_header("Figure 2", "fraction of traffic by flow size", opt);
 
   const workload::FlowSizeDist dists[] = {

@@ -10,7 +10,8 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kPlanetLabFlags | bench::kCsv);
   bench::print_header("Figure 6", "FCT of short flows across the path ensemble", opt);
 
   bench::PlanetLabCampaign campaign = bench::run_planetlab_campaign(opt);

@@ -10,7 +10,7 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(argc, argv, bench::kPlanetLabFlags);
   bench::print_header("Figure 7", "RTTs used per short flow", opt);
 
   bench::PlanetLabCampaign campaign = bench::run_planetlab_campaign(opt);

@@ -9,7 +9,7 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(argc, argv, bench::kPlanetLabFlags);
   bench::print_header("Figure 8", "FCT for trials that saw packet loss", opt);
 
   bench::PlanetLabCampaign campaign = bench::run_planetlab_campaign(opt);

@@ -3,14 +3,15 @@
 #include <cstdio>
 
 #include "common.h"
-#include "exp/homenet.h"
+#include "exp/planetlab.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kPairs);
   bench::print_header("Figure 9", "FCT on home access networks", opt);
 
   exp::HomeNetConfig config;
@@ -23,12 +24,16 @@ int main(int argc, char** argv) {
                       "median reduction vs TCP (%)"}};
   for (const exp::HomeNetProfile& profile : exp::home_profiles()) {
     stats::Summary halfback, tcp;
+    std::uint64_t violations = 0;
     for (const auto& t : env.run(schemes::Scheme::halfback, profile)) {
       halfback.add(t.record.fct().to_ms());
+      violations += t.audit_violations;
     }
     for (const auto& t : env.run(schemes::Scheme::tcp, profile)) {
       tcp.add(t.record.fct().to_ms());
+      violations += t.audit_violations;
     }
+    bench::require_clean_audit(violations);
     table.add_row({profile.name, "Halfback", stats::Table::num(halfback.median(), 0),
                    stats::Table::num(halfback.mean(), 0),
                    stats::Table::num(100.0 * (1.0 - halfback.median() / tcp.median()), 0)});

@@ -11,7 +11,9 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration |
+      bench::kCsv);
   bench::print_header("Figure 10", "FCT and retransmissions vs router buffer size",
                       opt);
 

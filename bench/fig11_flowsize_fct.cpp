@@ -10,7 +10,8 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration);
   bench::print_header("Figure 11", "FCT vs flow size at 25% utilization", opt);
 
   const workload::FlowSizeDist dists[] = {

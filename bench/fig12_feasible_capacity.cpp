@@ -10,7 +10,9 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration |
+      bench::kReps | bench::kCsv);
   bench::print_header("Figure 12", "FCT vs utilization, short flows only", opt);
 
   exp::UtilizationSweepConfig config;

@@ -9,7 +9,8 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration);
   bench::print_header("Figure 13",
                       "normalized FCT, 10% short / 90% long-TCP traffic", opt);
 

@@ -10,7 +10,9 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration |
+      bench::kCsv);
   bench::print_header("Figure 14", "TCP-friendliness of non-TCP schemes", opt);
 
   constexpr std::array<schemes::Scheme, 7> kSet{

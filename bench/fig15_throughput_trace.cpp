@@ -1,9 +1,11 @@
 // Fig. 15 — throughput timelines (§4.3.4): a saturated background TCP flow
 // disturbed by (a) an optimal burst, (b) Halfback, (c) one TCP short flow,
 // (d) two half-size TCP short flows.
+#include <array>
 #include <cstdio>
 
 #include "common.h"
+#include "exp/parallel.h"
 #include "exp/trace.h"
 #include "stats/ascii_plot.h"
 #include "stats/table.h"
@@ -11,16 +13,27 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kSeed | bench::kThreads);
   bench::print_header("Figure 15", "throughput of background and short flows", opt);
 
-  for (exp::TraceScenario scenario :
-       {exp::TraceScenario::optimal, exp::TraceScenario::halfback,
-        exp::TraceScenario::single_tcp, exp::TraceScenario::two_tcp_halves}) {
-    exp::TraceConfig config;
-    config.seed = opt.seed;
-    auto traces = exp::run_trace(config, scenario);
-    std::printf("--- panel: %s ---\n", exp::to_string(scenario));
+  constexpr std::array<exp::TraceScenario, 4> kPanels{
+      exp::TraceScenario::optimal, exp::TraceScenario::halfback,
+      exp::TraceScenario::single_tcp, exp::TraceScenario::two_tcp_halves};
+  std::vector<exp::TraceRun> runs(kPanels.size());
+  exp::parallel_for(
+      kPanels.size(),
+      [&](std::size_t i) {
+        exp::TraceConfig config;
+        config.seed = opt.seed;
+        runs[i] = exp::run_trace(config, kPanels[i]);
+      },
+      opt.threads);
+
+  for (std::size_t panel = 0; panel < kPanels.size(); ++panel) {
+    bench::require_clean_audit(runs[panel].audit_violations);
+    const std::vector<exp::FlowTrace>& traces = runs[panel].flows;
+    std::printf("--- panel: %s ---\n", exp::to_string(kPanels[panel]));
 
     std::vector<stats::PlotSeries> plot;
     for (const exp::FlowTrace& flow : traces) {

@@ -1,6 +1,7 @@
 // Fig. 16 — application-level benchmark (§4.4): mean web page response
 // time vs network utilization for TCP, TCP-10, JumpStart and Halfback.
 #include <cstdio>
+#include <numeric>
 
 #include "common.h"
 #include "exp/parallel.h"
@@ -13,7 +14,9 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration |
+      bench::kCsv);
   bench::print_header("Figure 16", "web page response time vs utilization", opt);
 
   constexpr std::array<schemes::Scheme, 4> kSet{
@@ -42,6 +45,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<double> mean_response(utils.size() * kSet.size());
+  std::vector<std::uint64_t> violations(mean_response.size());
   exp::parallel_for(
       mean_response.size(),
       [&](std::size_t i) {
@@ -52,8 +56,11 @@ int main(int argc, char** argv) {
         exp::WebRunner runner{config};
         exp::WebRunOutcome outcome = runner.run(scheme, catalog, schedules[u]);
         mean_response[i] = outcome.mean_response_s();
+        violations[i] = outcome.audit_violations;
       },
       opt.threads);
+  bench::require_clean_audit(std::accumulate(violations.begin(), violations.end(),
+                                             std::uint64_t{0}));
 
   std::vector<std::string> header{"util %"};
   for (schemes::Scheme s : kSet) header.push_back(bench::display(s));

@@ -12,7 +12,9 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(
+      argc, argv, bench::kFull | bench::kSeed | bench::kThreads | bench::kDuration |
+      bench::kReps);
   bench::print_header("Figure 17", "ROPR ablations: FCT and feasible capacity", opt);
 
   constexpr std::array<schemes::Scheme, 7> kAblationSet{

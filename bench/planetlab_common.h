@@ -9,6 +9,9 @@
 
 namespace halfback::bench {
 
+/// The shared flags run_planetlab_campaign() reads.
+inline constexpr Flags kPlanetLabFlags = kFull | kSeed | kThreads | kPairs;
+
 struct PlanetLabCampaign {
   exp::PlanetLabConfig config;
   std::map<schemes::Scheme, std::vector<exp::TrialResult>> trials;

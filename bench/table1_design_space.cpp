@@ -9,7 +9,7 @@
 using namespace halfback;
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(argc, argv, 0);
   bench::print_header("Table 1", "startup and lost-packet recovery design space", opt);
 
   stats::Table table{{"scheme", "startup phase", "extra bandwidth",

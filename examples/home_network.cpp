@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "exp/homenet.h"
+#include "exp/planetlab.h"
 #include "stats/summary.h"
 
 using namespace halfback;

@@ -107,9 +107,7 @@ RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario
   runner_config.budget = config.cell_budget;
   runner_config.wall_limit = config.cell_wall_limit;
   EmulabRunner runner{runner_config};
-  WorkloadPart part;
-  part.scheme = scheme;
-  part.role = FlowRole::primary;
+  WorkloadPart part{scheme, {}, FlowRole::primary, {}};
   part.schedule.reserve(config.flows_per_cell);
   for (std::size_t i = 0; i < config.flows_per_cell; ++i) {
     workload::FlowArrival arrival;

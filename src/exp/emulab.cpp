@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "audit/invariant_auditor.h"
-
 namespace halfback::exp {
 namespace {
 
@@ -85,15 +83,9 @@ std::size_t RunResult::unfinished_count(FlowRole role) const {
 }
 
 RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
-  sim::Simulator simulator{config_.seed};
-  net::Network network{simulator};
-
-#ifdef HALFBACK_AUDIT
-  audit::InvariantAuditor auditor;
-  network.install_auditor(auditor);
-#endif
-
-  net::Dumbbell dumbbell = net::build_dumbbell(network, config_.dumbbell);
+  Run run{config_.seed, config_};
+  sim::Simulator& simulator = run.simulator();
+  net::Dumbbell dumbbell = net::build_dumbbell(run.network(), config_.dumbbell);
 
   // Chaos layer: when faults are configured, each bottleneck direction gets
   // its own deterministic injector. The RNGs derive from the experiment
@@ -112,20 +104,8 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
     dumbbell.bottleneck_reverse->set_fault_hook(fault_reverse.get());
   }
 
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->instrument_network(network);
-  }
-
-  std::vector<std::unique_ptr<transport::TransportAgent>> agents;
-  for (net::NodeId id : dumbbell.senders) {
-    agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  for (net::NodeId id : dumbbell.receivers) {
-    agents.push_back(std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  if (config_.telemetry != nullptr) {
-    for (auto& agent : agents) agent->set_telemetry(config_.telemetry);
-  }
+  run.attach_hosts(dumbbell.senders);
+  run.attach_hosts(dumbbell.receivers);
   const std::size_t sender_count = dumbbell.senders.size();
 
   // Per-flow bottleneck loss accounting (data direction).
@@ -135,9 +115,8 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
         if (p.type == net::PacketType::data) ++drops[p.flow];
       });
 
-  schemes::SchemeContext base_context;
-  base_context.sender_config = config_.sender_config;
-  base_context.halfback_config = config_.halfback_config;
+  run.context().sender_config = config_.sender_config;
+  run.context().halfback_config = config_.halfback_config;
 
   struct LiveFlow {
     transport::SenderBase* sender = nullptr;
@@ -148,12 +127,12 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
   std::size_t next_pair = 0;
   sim::Time last_arrival;
 
-  // One context per part (they share the path cache through base_context's
-  // copy only if created here; TCP-Cache parts share within a part).
+  // One context per part, each a copy of the run's: TCP-Cache parts share
+  // a path cache within a part, never across parts.
   std::vector<schemes::SchemeContext> contexts;
   contexts.reserve(parts.size());
   for (const WorkloadPart& part : parts) {
-    schemes::SchemeContext context = base_context;
+    schemes::SchemeContext context = run.context();
     if (part.sender_config.has_value()) context.sender_config = *part.sender_config;
     contexts.push_back(std::move(context));
   }
@@ -170,43 +149,17 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
       const std::uint64_t bytes = arrival.bytes;
       simulator.schedule_at(arrival.at, [&, &context = context, flow, pair, scheme, role,
                                          bytes] {
-        auto sender = schemes::make_sender(
-            scheme, context, simulator, network.node(dumbbell.senders[pair]),
-            dumbbell.receivers[pair], flow, bytes);
         transport::SenderBase& ref =
-            agents[pair]->start_flow(std::move(sender));
+            run.start_flow(context, scheme, dumbbell.senders[pair],
+                           dumbbell.receivers[pair], flow, bytes);
         live[flow] = LiveFlow{&ref, role};
       });
     }
   }
 
-  // Budgets: installing an enforcer switches the simulator onto the
-  // budgeted dispatch loop; with neither a budget nor a watchdog the run
-  // stays on the seed's unbudgeted path. The watchdog needs the enforcer
-  // even when no deterministic limit is set — the budgeted loop is what
-  // polls the abort flag and records the wall_clock trip.
-  std::optional<sim::BudgetEnforcer> enforcer;
-  if (config_.budget.any() || config_.wall_limit.count() > 0) {
-    enforcer.emplace(config_.budget);
-    simulator.set_budget(&*enforcer);
-  }
-  // The profiler rides the same instrumented loop as the budget enforcer;
-  // with neither installed the run stays on the seed's plain path.
-  if (config_.profiler != nullptr) simulator.set_profiler(config_.profiler);
-  {
-    std::optional<sim::WallClockWatchdog> watchdog;
-    if (config_.wall_limit.count() > 0) {
-      watchdog.emplace(simulator, config_.wall_limit);
-    }
-    simulator.run_until(last_arrival + config_.drain);
-    // Scope exit disarms and joins the watchdog: from here on the run is
-    // single-threaded again and fired() is stable.
-  }
+  run.run_until(last_arrival + config_.drain);
 
   RunResult result;
-  result.sim_end = simulator.now();
-  result.events_executed = simulator.events_executed();
-  if (enforcer.has_value()) result.budget_report = enforcer->report();
   // Walk flows in id (creation) order: iterating the unordered map directly
   // would make result order — and FCT stats under start-time ties — depend
   // on hash layout.
@@ -231,12 +184,6 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
       dumbbell.bottleneck_forward->queue().stats().dropped_packets;
   result.bottleneck_utilization =
       dumbbell.bottleneck_forward->utilization(simulator.now());
-  for (const auto& agent : agents) {
-    const transport::DeliveryStats& d = agent->delivery_stats();
-    result.delivery.accepted += d.accepted;
-    result.delivery.corrupted_rejected += d.corrupted_rejected;
-    result.delivery.duplicate_rejected += d.duplicate_rejected;
-  }
   for (const netfault::FaultInjector* injector :
        {fault_forward.get(), fault_reverse.get()}) {
     if (injector == nullptr) continue;
@@ -249,36 +196,17 @@ RunResult EmulabRunner::run(const std::vector<WorkloadPart>& parts) {
     result.faults.duplicated += s.duplicated;
     result.faults.jittered += s.jittered;
     result.faults.delay_spikes += s.delay_spikes;
+    if (config_.telemetry != nullptr) config_.telemetry->record_injector(s);
   }
-#ifdef HALFBACK_AUDIT
-  auditor.finalize(simulator.queue().empty());
-  result.trace_hash = auditor.trace_hash();
-  result.audit_violations = auditor.total_violations();
-#endif
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->snapshot_network(network, simulator.now());
-    for (const netfault::FaultInjector* injector :
-         {fault_forward.get(), fault_reverse.get()}) {
-      if (injector != nullptr) config_.telemetry->record_injector(injector->stats());
-    }
-  }
+  static_cast<RunSummary&>(result) = run.finish();
   return result;
 }
 
 telemetry::RunManifest EmulabRunner::manifest(const RunResult& result,
                                               std::string experiment) const {
-  telemetry::RunManifest m;
-  m.experiment = std::move(experiment);
-  m.seed = config_.seed;
-  m.config_digest = telemetry::fnv1a64(config_fingerprint(config_));
-  m.trace_hash = result.trace_hash;
-  m.sim_end = result.sim_end;
-  if (config_.telemetry != nullptr) {
-    const telemetry::MetricRegistry& registry = config_.telemetry->registry();
-    if (const auto* e = registry.find("sim.events_dispatched")) {
-      m.events_dispatched = registry.counter_at(*e).value();
-    }
-  }
+  telemetry::RunManifest m =
+      run_manifest(std::move(experiment), config_.seed, config_fingerprint(config_),
+                   result.trace_hash, result.sim_end, config_.telemetry);
   if (config_.profiler != nullptr) {
     for (const sim::DispatchProfiler::Row& row : config_.profiler->rows()) {
       m.profile.push_back(telemetry::RunManifest::ProfileRow{

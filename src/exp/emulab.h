@@ -2,23 +2,18 @@
 // dumbbell and collects per-flow results. Shared by Figs. 10-17.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "exp/run.h"
 #include "net/topology.h"
 #include "netfault/fault_config.h"
 #include "netfault/fault_injector.h"
-#include "schemes/factory.h"
-#include "sim/budget.h"
-#include "sim/dispatch_profiler.h"
-#include "sim/simulator.h"
 #include "stats/summary.h"
 #include "telemetry/manifest.h"
-#include "transport/agent.h"
 #include "workload/flow_schedule.h"
 
 namespace halfback::exp {
@@ -35,33 +30,14 @@ struct FlowResult {
   sim::Time censored_fct;  ///< elapsed time at sim end for unfinished flows
 };
 
-/// Aggregated outcome of one run.
-struct RunResult {
+/// Aggregated outcome of one run. In the RunSummary half, a budget trip
+/// means the flow results are the partial state at the trip, and an event
+/// count far above a cell's peers flags a scheme/fault pathology (an RTO
+/// storm) even when the run finishes; regression tests pin it.
+struct RunResult : RunSummary {
   std::vector<FlowResult> flows;
   std::uint64_t bottleneck_drops_total = 0;
   double bottleneck_utilization = 0.0;
-  sim::Time sim_end;
-  /// Events the simulator dispatched over the whole run. A cell whose
-  /// event count explodes relative to its peers signals a scheme/fault
-  /// pathology (an RTO storm, a send loop that stopped making progress)
-  /// even when the run still finishes — regression tests pin it.
-  std::uint64_t events_executed = 0;
-
-  /// Filled when the build compiles audit hooks (HALFBACK_AUDIT): run-trace
-  /// hash (same seed + schedules => same hash) and invariant-violation
-  /// count (0 = clean run).
-  std::uint64_t trace_hash = 0;
-  std::uint64_t audit_violations = 0;
-
-  /// Budget outcome (sim/budget.h). `tripped == BudgetTrip::none` — always
-  /// the case when Config enables no budget — means the run finished
-  /// normally; anything else means the run aborted early and the flow
-  /// results below are the partial state at the trip.
-  sim::BudgetReport budget_report;
-
-  /// Transport-boundary rejection counters summed over every host agent.
-  /// The rejected fields stay zero unless the run injects faults.
-  transport::DeliveryStats delivery;
   /// Per-cause fault attribution summed over the installed injectors
   /// (all-zero when Config::faults is empty and no injector was installed).
   netfault::InjectorStats faults;
@@ -95,7 +71,10 @@ struct WorkloadPart {
 /// is deterministic given the seed and schedules.
 class EmulabRunner {
  public:
-  struct Config {
+  /// The RunObservers half (exp/run.h) — hub, profiler, budget, watchdog —
+  /// never changes a run that finishes inside its budget and limit.
+  /// manifest() exports the profiler's table.
+  struct Config : RunObservers {
     net::DumbbellConfig dumbbell;
     std::uint64_t seed = 1;
     transport::SenderConfig sender_config;
@@ -110,29 +89,6 @@ class EmulabRunner {
     /// `seed` (never from the simulator's live stream, which would perturb
     /// the fault-free baseline). See docs/fault-injection.md.
     netfault::FaultConfig faults;
-    /// Deterministic run budget (sim/budget.h). Default-constructed —
-    /// nothing enabled — leaves the dispatch loop on the unbudgeted seed
-    /// path, bit-identical to runs from before budgets existed. With any
-    /// limit set, a trip aborts the run and RunResult::budget_report says
-    /// why.
-    sim::RunBudget budget;
-    /// Wall-clock watchdog limit; zero (default) arms nothing. Strictly a
-    /// safety net: a run that finishes inside the limit is bit-identical
-    /// to an unwatched run.
-    std::chrono::milliseconds wall_limit{0};
-    /// Optional telemetry hub (owned by the caller, one per run). When set,
-    /// the run installs it on the simulator, links, and every flow, and
-    /// snapshots network gauges at the end. Purely observational: trace
-    /// hashes are identical with or without it (docs/telemetry.md).
-    telemetry::Hub* telemetry = nullptr;
-
-    /// Optional in-sim cost profiler (owned by the caller). When set, the
-    /// simulator runs its instrumented dispatch loop and attributes a
-    /// cycle count to every event type; manifest() exports the table.
-    /// Event-for-event identical to an unprofiled run — dispatch counts
-    /// are deterministic, only the cycle columns vary. Not part of the
-    /// config fingerprint.
-    sim::DispatchProfiler* profiler = nullptr;
   };
 
   explicit EmulabRunner(Config config) : config_{std::move(config)} {}

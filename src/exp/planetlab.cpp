@@ -1,16 +1,13 @@
 #include "exp/planetlab.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
-#include "audit/invariant_auditor.h"
-#include "exp/censor.h"
 #include "exp/parallel.h"
-#include "schemes/factory.h"
+#include "exp/run.h"
 #include "sim/random.h"
-#include "telemetry/hub.h"
-#include "transport/agent.h"
 
 namespace halfback::exp {
 namespace {
@@ -60,108 +57,78 @@ PlanetLabEnv::PlanetLabEnv(PlanetLabConfig config) : config_{config} {
   }
 }
 
-TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path,
-                                  std::uint64_t trial_seed,
-                                  telemetry::Hub* telemetry) const {
-  sim::Simulator simulator{trial_seed};
-  net::Network network{simulator};
-
-#ifdef HALFBACK_AUDIT
-  // One auditor per trial: shards share nothing (see parallel_for), so each
-  // simulator carries its own invariant checker and determinism hash.
-  audit::InvariantAuditor auditor;
-  network.install_auditor(auditor);
-#endif
-
-  net::AccessPathConfig apc;
-  apc.rtt = path.rtt;
-  apc.downlink_rate = path.bottleneck;
-  apc.uplink_rate = std::max(path.bottleneck * 0.25,
-                             sim::DataRate::megabits_per_second(2.0));
-  apc.downlink_buffer_bytes = path.buffer_bytes;
-  apc.downlink_loss_rate = path.random_loss;
-  net::AccessPath ap = net::build_access_path(network, apc);
-
-  if (telemetry != nullptr) telemetry->instrument_network(network);
-
-  transport::TransportAgent server_agent{simulator, network, ap.server};
-  transport::TransportAgent client_agent{simulator, network, ap.client};
-  if (telemetry != nullptr) {
-    server_agent.set_telemetry(telemetry);
-    client_agent.set_telemetry(telemetry);
-  }
+TrialResult run_access_trial(schemes::Scheme scheme, const AccessTrial& trial,
+                             std::uint64_t seed, telemetry::Hub* telemetry) {
+  RunObservers observers;
+  observers.telemetry = telemetry;
+  Run run{seed, observers};
+  const net::AccessPath ap = net::build_access_path(run.network(), trial.path);
+  const net::NodeId hosts[] = {ap.server, ap.client};
+  run.attach_hosts(hosts);
 
   std::uint32_t flow_drops = 0;
   const net::FlowId kFlow = 1;
   ap.downlink->queue().set_drop_callback([&](const net::Packet& p) {
     if (p.flow == kFlow && p.type == net::PacketType::data) ++flow_drops;
   });
-
-  schemes::SchemeContext context;
-  context.sender_config = config_.sender_config;
+  run.context().sender_config = trial.sender_config;
 
   sim::Time flow_start;
-  if (path.cross_traffic) {
+  if (trial.cross_traffic) {
     // A long-lived TCP flow fills the queue first (2 s head start).
-    auto cross = schemes::make_sender(schemes::Scheme::tcp, context, simulator,
-                                      network.node(ap.server), ap.client,
-                                      /*flow=*/2, /*bytes=*/50'000'000);
-    server_agent.start_flow(std::move(cross));
+    run.start_flow(schemes::Scheme::tcp, ap.server, ap.client, /*flow=*/2,
+                   /*bytes=*/50'000'000);
     flow_start = sim::Time::seconds(2);
   }
-
-  transport::SenderBase* sender_ptr = nullptr;
-  simulator.schedule_at(flow_start, [&] {
-    auto sender = schemes::make_sender(scheme, context, simulator,
-                                       network.node(ap.server), ap.client, kFlow,
-                                       config_.flow_bytes);
-    sender_ptr = &server_agent.start_flow(std::move(sender));
+  run.simulator().schedule_at(flow_start, [&] {
+    run.watch(run.start_flow(scheme, ap.server, ap.client, kFlow, trial.flow_bytes));
   });
 
-  // Run until the short flow completes (or the trial times out); the
-  // censor-at-deadline accounting is the shared semantics in exp/censor.h
-  // (HomeNetEnv uses the identical path).
-  const sim::Time deadline = flow_start + config_.per_trial_timeout;
-  drive_until_complete_or_deadline(
-      simulator,
-      [&]() -> const transport::SenderBase* { return sender_ptr; }, deadline);
-
+  const sim::Time deadline = flow_start + trial.timeout;
   TrialResult result;
-  result.path_rtt = path.rtt;
-  if (sender_ptr != nullptr) {
-    result.record = sender_ptr->record();
-    result.finished = sender_ptr->complete();
+  result.path_rtt = trial.path.rtt;
+  if (const transport::SenderBase* sender = run.run_until_complete(deadline)) {
+    result.record = sender->record();
+    result.finished = sender->complete();
     result.saw_loss = flow_drops > 0 || result.record.normal_retx > 0 ||
                       result.record.timeouts > 0;
-    if (!result.finished) censor_record_at(result.record, deadline);
+    if (!result.finished) {
+      result.record.completion_time = deadline;
+      result.record.completed = false;
+    }
   }
-#ifdef HALFBACK_AUDIT
-  auditor.finalize(simulator.queue().empty());
-  result.trace_hash = auditor.trace_hash();
-  result.audit_violations = auditor.total_violations();
-#endif
-  if (telemetry != nullptr) telemetry->snapshot_network(network, simulator.now());
+  const RunSummary summary = run.finish();
+  result.trace_hash = summary.trace_hash;
+  result.audit_violations = summary.audit_violations;
   return result;
+}
+
+TrialResult PlanetLabEnv::run_one(schemes::Scheme scheme, const PathSample& path,
+                                  std::uint64_t trial_seed,
+                                  telemetry::Hub* telemetry) const {
+  AccessTrial trial;
+  trial.path.rtt = path.rtt;
+  trial.path.downlink_rate = path.bottleneck;
+  trial.path.uplink_rate = std::max(path.bottleneck * 0.25,
+                                    sim::DataRate::megabits_per_second(2.0));
+  trial.path.downlink_buffer_bytes = path.buffer_bytes;
+  trial.path.downlink_loss_rate = path.random_loss;
+  trial.cross_traffic = path.cross_traffic;
+  trial.flow_bytes = config_.flow_bytes;
+  trial.sender_config = config_.sender_config;
+  trial.timeout = config_.per_trial_timeout;
+  return run_access_trial(scheme, trial, trial_seed, telemetry);
 }
 
 telemetry::RunManifest PlanetLabEnv::manifest(
     const TrialResult& result, schemes::Scheme scheme, std::uint64_t trial_seed,
     const telemetry::Hub* telemetry) const {
-  telemetry::RunManifest m;
-  m.experiment = "planetlab";
-  m.scheme = schemes::name(scheme);
-  m.seed = trial_seed;
-  m.config_digest = telemetry::fnv1a64(config_fingerprint(config_, trial_seed));
-  m.trace_hash = result.trace_hash;
   // TrialResult carries no separate sim-end clock; the completion time is
   // the flow's finish (or its censoring point for unfinished trials).
-  m.sim_end = result.record.completion_time;
-  if (telemetry != nullptr) {
-    const telemetry::MetricRegistry& registry = telemetry->registry();
-    if (const auto* e = registry.find("sim.events_dispatched")) {
-      m.events_dispatched = registry.counter_at(*e).value();
-    }
-  }
+  telemetry::RunManifest m =
+      run_manifest("planetlab", trial_seed, config_fingerprint(config_, trial_seed),
+                   result.trace_hash, result.record.completion_time, telemetry);
+  m.scheme = schemes::name(scheme);
   return m;
 }
 
@@ -171,6 +138,56 @@ std::vector<TrialResult> PlanetLabEnv::run(schemes::Scheme scheme) const {
       paths_.size(),
       [&](std::size_t i) {
         results[i] = run_one(scheme, paths_[i], config_.seed * 31 + i);
+      },
+      config_.threads);
+  return results;
+}
+
+namespace {
+// Parameters follow the provider descriptions in §4.2.2: AT&T DSL ~6 Mbps
+// behind a home wireless router (bloated DSL buffer, wireless loss),
+// Comcast 25 Mbps wired, ConnectivityU shared-building WiFi, and
+// ConnectivityU wired.
+constexpr std::array<HomeNetProfile, 4> kProfiles{{
+    {"comcast-wired", sim::DataRate::megabits_per_second(25),
+     sim::DataRate::megabits_per_second(5), 0.0, 192'000},
+    {"connectivityu-wired", sim::DataRate::megabits_per_second(100),
+     sim::DataRate::megabits_per_second(100), 0.0, 128'000},
+    {"connectivityu-wifi", sim::DataRate::megabits_per_second(18),
+     sim::DataRate::megabits_per_second(8), 0.008, 64'000},
+    {"att-dsl-wifi", sim::DataRate::megabits_per_second(6),
+     sim::DataRate::kilobits_per_second(700), 0.01, 384'000},
+}};
+}  // namespace
+
+std::span<const HomeNetProfile> home_profiles() { return kProfiles; }
+
+HomeNetEnv::HomeNetEnv(HomeNetConfig config) : config_{config} {
+  sim::Random rng{config_.seed};
+  server_rtts_.reserve(static_cast<std::size_t>(config_.server_count));
+  for (int i = 0; i < config_.server_count; ++i) {
+    // Sampled in ms, converted to sim::Time at the boundary.
+    server_rtts_.push_back(sim::Time::milliseconds(
+        std::clamp(rng.lognormal(std::log(60.0), 1.0), 2.0, 400.0)));
+  }
+}
+
+std::vector<TrialResult> HomeNetEnv::run(schemes::Scheme scheme,
+                                         const HomeNetProfile& profile) const {
+  std::vector<TrialResult> results(server_rtts_.size());
+  parallel_for(
+      server_rtts_.size(),
+      [&](std::size_t i) {
+        AccessTrial trial;
+        trial.path.rtt = server_rtts_[i];
+        trial.path.downlink_rate = profile.downlink;
+        trial.path.uplink_rate = profile.uplink;
+        trial.path.downlink_buffer_bytes = profile.buffer_bytes;
+        trial.path.downlink_loss_rate = profile.loss_rate;
+        trial.flow_bytes = config_.flow_bytes;
+        trial.sender_config = config_.sender_config;
+        trial.timeout = config_.per_trial_timeout;
+        results[i] = run_access_trial(scheme, trial, config_.seed * 131 + i);
       },
       config_.threads);
   return results;

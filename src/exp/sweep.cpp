@@ -68,12 +68,9 @@ std::vector<SweepCell> utilization_sweep(const UtilizationSweepConfig& config,
         const std::size_t u = i / (static_cast<std::size_t>(reps) * scheme_count);
         EmulabRunner::Config runner_config = config.runner;
         runner_config.seed = config.runner.seed + 7 * r;
-        EmulabRunner runner{runner_config};
-        WorkloadPart part;
-        part.scheme = schemes[si];
-        part.schedule = schedules[u * static_cast<std::size_t>(reps) + r];
-        part.role = FlowRole::primary;
-        RunResult run = runner.run({part});
+        RunResult run = EmulabRunner{runner_config}.run(
+            {WorkloadPart{schemes[si], schedules[u * static_cast<std::size_t>(reps) + r],
+                          FlowRole::primary, {}}});
         raw[i] = summarize(schemes[si], config.utilizations[u], run);
       },
       config.threads);

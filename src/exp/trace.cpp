@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "exp/run.h"
 #include "sim/timer.h"
 
 namespace halfback::exp {
@@ -16,28 +17,17 @@ const char* to_string(TraceScenario scenario) {
   return "?";
 }
 
-std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenario) {
-  sim::Simulator simulator{config.seed};
-  net::Network network{simulator};
+TraceRun run_trace(const TraceConfig& config, TraceScenario scenario) {
+  Run run{config.seed};
+  sim::Simulator& simulator = run.simulator();
   net::DumbbellConfig dc = config.dumbbell;
   dc.sender_count = std::max(dc.sender_count, 3);
   dc.receiver_count = std::max(dc.receiver_count, 3);
-  net::Dumbbell dumbbell = net::build_dumbbell(network, dc);
-
-  std::vector<std::unique_ptr<transport::TransportAgent>> server_agents;
-  std::vector<std::unique_ptr<transport::TransportAgent>> client_agents;
-  for (net::NodeId id : dumbbell.senders) {
-    server_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  for (net::NodeId id : dumbbell.receivers) {
-    client_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-
-  schemes::SchemeContext context;
-  context.sender_config = config.sender_config;
-  context.halfback_config = config.halfback_config;
+  net::Dumbbell dumbbell = net::build_dumbbell(run.network(), dc);
+  run.attach_hosts(dumbbell.senders);
+  run.attach_hosts(dumbbell.receivers);
+  run.context().sender_config = config.sender_config;
+  run.context().halfback_config = config.halfback_config;
 
   struct Tracked {
     std::string label;
@@ -58,19 +48,17 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
     Tracked* raw = t.get();
     tracked.push_back(std::move(t));
     simulator.schedule_at(at, [&, raw, scheme, bytes, burst_window] {
-      std::unique_ptr<transport::SenderBase> sender;
+      const net::NodeId from = dumbbell.senders[raw->pair];
+      const net::NodeId to = dumbbell.receivers[raw->pair];
       if (burst_window > 0) {
         // "Optimal": the whole flow leaves in one immediate burst (an ICW
         // covering the flow), the best a sender-side scheme could do.
-        sender = schemes::make_optimal_sender(
-            context, simulator, network.node(dumbbell.senders[raw->pair]),
-            dumbbell.receivers[raw->pair], raw->flow, bytes, burst_window);
+        raw->sender = &run.agent(from).start_flow(schemes::make_optimal_sender(
+            run.context(), simulator, run.network().node(from), to, raw->flow,
+            bytes, burst_window));
       } else {
-        sender = schemes::make_sender(scheme, context, simulator,
-                                      network.node(dumbbell.senders[raw->pair]),
-                                      dumbbell.receivers[raw->pair], raw->flow, bytes);
+        raw->sender = &run.start_flow(scheme, from, to, raw->flow, bytes);
       }
-      raw->sender = &server_agents[raw->pair]->start_flow(std::move(sender));
     });
   };
 
@@ -103,7 +91,8 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
   sim::Timer sampler;
   sampler.bind(simulator, [&] {
     for (auto& t : tracked) {
-      transport::Receiver* r = client_agents[t->pair]->receiver(t->flow);
+      transport::Receiver* r =
+          run.agent(dumbbell.receivers[t->pair]).receiver(t->flow);
       if (r == nullptr) continue;
       const std::uint32_t now_segments = r->stats().unique_segments;
       if (now_segments > t->seen_segments) {
@@ -121,9 +110,9 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
   });
   sampler.schedule_after(config.bucket);
 
-  simulator.run_until(config.duration);
+  run.run_until(config.duration);
 
-  std::vector<FlowTrace> out;
+  TraceRun out;
   for (auto& t : tracked) {
     FlowTrace ft;
     ft.label = t->label;
@@ -131,8 +120,11 @@ std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenar
     if (t->sender != nullptr && t->sender->complete()) {
       ft.completion = t->sender->record().completion_time;
     }
-    out.push_back(std::move(ft));
+    out.flows.push_back(std::move(ft));
   }
+  const RunSummary summary = run.finish();
+  out.trace_hash = summary.trace_hash;
+  out.audit_violations = summary.audit_violations;
   return out;
 }
 

@@ -2,6 +2,7 @@
 // short flow disturbs a saturated background TCP flow.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,15 @@ struct FlowTrace {
   sim::Time completion;  ///< zero if the flow did not finish
 };
 
-std::vector<FlowTrace> run_trace(const TraceConfig& config, TraceScenario scenario);
+/// One scenario's traces, background flow first.
+struct TraceRun {
+  std::vector<FlowTrace> flows;
+  /// Filled when the build compiles audit hooks (HALFBACK_AUDIT): the
+  /// run-trace hash and the invariant-violation count (0 = clean run).
+  std::uint64_t trace_hash = 0;
+  std::uint64_t audit_violations = 0;
+};
+
+TraceRun run_trace(const TraceConfig& config, TraceScenario scenario);
 
 }  // namespace halfback::exp

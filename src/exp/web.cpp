@@ -4,6 +4,8 @@
 #include <functional>
 #include <memory>
 
+#include "exp/run.h"
+
 namespace halfback::exp {
 
 namespace {
@@ -40,25 +42,14 @@ std::size_t WebRunOutcome::unfinished_pages() const {
 WebRunOutcome WebRunner::run(schemes::Scheme scheme,
                              const workload::WebsiteCatalog& catalog,
                              const std::vector<workload::WebRequest>& requests) {
-  sim::Simulator simulator{config_.seed};
-  net::Network network{simulator};
-  net::Dumbbell dumbbell = net::build_dumbbell(network, config_.dumbbell);
-
-  std::vector<std::unique_ptr<transport::TransportAgent>> server_agents;
-  std::vector<std::unique_ptr<transport::TransportAgent>> client_agents;
-  for (net::NodeId id : dumbbell.senders) {
-    server_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  for (net::NodeId id : dumbbell.receivers) {
-    client_agents.push_back(
-        std::make_unique<transport::TransportAgent>(simulator, network, id));
-  }
-  const std::size_t pair_count = server_agents.size();
-
-  schemes::SchemeContext context;
-  context.sender_config = config_.sender_config;
-  context.halfback_config = config_.halfback_config;
+  Run run{config_.seed};
+  sim::Simulator& simulator = run.simulator();
+  net::Dumbbell dumbbell = net::build_dumbbell(run.network(), config_.dumbbell);
+  run.attach_hosts(dumbbell.senders);
+  run.attach_hosts(dumbbell.receivers);
+  const std::size_t pair_count = dumbbell.senders.size();
+  run.context().sender_config = config_.sender_config;
+  run.context().halfback_config = config_.halfback_config;
 
   std::vector<std::unique_ptr<PageState>> pages;
   net::FlowId next_flow = 1;
@@ -68,14 +59,9 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
   std::function<void(PageState&)> launch_next = [&](PageState& state) {
     if (state.next_object >= state.page->object_bytes.size()) return;
     const std::uint64_t bytes = state.page->object_bytes[state.next_object++];
-    const net::FlowId flow = next_flow++;
-    auto sender = schemes::make_sender(
-        scheme, context, simulator, network.node(dumbbell.senders[state.pair]),
-        dumbbell.receivers[state.pair], flow, bytes);
-    (void)bytes;
-    server_agents[state.pair]->start_flow(
-        std::move(sender),
-        transport::SenderBase::CompletionRef{state.on_flow_complete});
+    run.start_flow(scheme, dumbbell.senders[state.pair],
+                   dumbbell.receivers[state.pair], next_flow++, bytes,
+                   transport::SenderBase::CompletionRef{state.on_flow_complete});
   };
 
   auto on_object_complete = [&](PageState& state) {
@@ -116,7 +102,7 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
     simulator.schedule_at(req.at, [&, raw] { launch_next(*raw); });
   }
 
-  simulator.run_until(last_request + config_.drain);
+  run.run_until(last_request + config_.drain);
 
   WebRunOutcome outcome;
   outcome.pages.reserve(pages.size());
@@ -128,8 +114,8 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
 
   double fct = 0, timeouts = 0, normal = 0, proactive = 0;
   std::size_t flows = 0;
-  for (const auto& agent : server_agents) {
-    for (const transport::FlowRecord& record : agent->completed()) {
+  for (const net::NodeId server : dumbbell.senders) {
+    for (const transport::FlowRecord& record : run.agent(server).completed()) {
       ++flows;
       fct += record.fct().to_ms();
       timeouts += record.timeouts;
@@ -144,6 +130,9 @@ WebRunOutcome WebRunner::run(schemes::Scheme scheme,
     outcome.flow_stats.mean_normal_retx = normal / static_cast<double>(flows);
     outcome.flow_stats.mean_proactive_retx = proactive / static_cast<double>(flows);
   }
+  const RunSummary summary = run.finish();
+  outcome.trace_hash = summary.trace_hash;
+  outcome.audit_violations = summary.audit_violations;
   return outcome;
 }
 

@@ -34,6 +34,10 @@ struct WebFlowStats {
 struct WebRunOutcome {
   std::vector<PageResult> pages;
   WebFlowStats flow_stats;
+  /// Filled when the build compiles audit hooks (HALFBACK_AUDIT): the
+  /// run-trace hash and the invariant-violation count (0 = clean run).
+  std::uint64_t trace_hash = 0;
+  std::uint64_t audit_violations = 0;
 
   double mean_response_s() const;
   std::size_t unfinished_pages() const;

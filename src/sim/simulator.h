@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "audit/auditor.h"
@@ -85,11 +86,12 @@ class Simulator {
   /// Remove an intrusive event if queued; no-op otherwise.
   void cancel_event(Event& event) HB_EFFECTS() { queue_.cancel_event(event); }
 
-  /// Run until the event queue drains or stop() is called.
+  /// Run until the event queue drains or stop() is called. The clock
+  /// stays at the last event run.
   void run() HB_EFFECTS(alloc, throw, rng);
 
   /// Run events up to and including time `deadline`; afterwards
-  /// now() == deadline unless the queue drained earlier or stop() fired.
+  /// now() == deadline unless stop() fired or a budget tripped.
   void run_until(Time deadline) HB_EFFECTS(alloc, throw, rng);
 
   /// Make run()/run_until() return after the current event completes.
@@ -125,35 +127,40 @@ class Simulator {
   /// Install a budget enforcer for this run (nullptr detaches). Owned by
   /// the caller. With an enforcer installed, run()/run_until() check the
   /// budget before every dispatch and stop early — recording a
-  /// BudgetReport on the enforcer — when a limit trips; without one the
-  /// dispatch loops are exactly the unbudgeted seed paths.
+  /// BudgetReport on the enforcer — when a limit trips; a tripped budget
+  /// stays tripped, so later run()/run_until() calls return at once.
   void set_budget(BudgetEnforcer* budget) { budget_ = budget; }
   BudgetEnforcer* budget() const { return budget_; }
 
   /// Install a dispatch profiler for this run (nullptr detaches). Owned by
-  /// the caller. Like the budget enforcer, installation selects the
-  /// instrumented dispatch loop; without one the loops are exactly the
-  /// unprofiled seed paths. The profiler only observes (per-type counts
-  /// and cycles), so trace hashes stay bit-identical.
+  /// the caller. The profiler only observes (per-type counts and cycles),
+  /// so trace hashes stay bit-identical.
   void set_profiler(DispatchProfiler* profiler) { profiler_ = profiler; }
   DispatchProfiler* profiler() const { return profiler_; }
 
   /// Ask the run to abort at the next event boundary (recorded as
   /// BudgetTrip::wall_clock when a budget enforcer is installed). The one
   /// cross-thread entry point: safe to call from a watchdog thread while
-  /// the run executes. Without an enforcer the request is ignored — the
-  /// deterministic loops stay byte-identical to the seed.
+  /// the run executes. Without an enforcer the request is ignored.
   void request_abort() { abort_requested_ = true; }
   bool abort_requested() const {
     return abort_requested_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// Dispatch loop used when a budget enforcer or a dispatch profiler is
-  /// installed: identical to the plain loops plus the per-event budget
-  /// check, the abort flag poll, and the profiler tap — each guarded by
-  /// its own null test. run() enters it with an infinite deadline.
-  void run_instrumented(Time deadline) HB_EFFECTS(alloc, throw, rng);
+  /// Behind run() and run_until(): picks, once per call, the instance of
+  /// dispatch_loop() that matches the installed observers.
+  void dispatch(Time deadline) HB_EFFECTS(alloc, throw, rng);
+
+  /// The one dispatch loop, compiled once per observer set so a plain run
+  /// pays nothing for the observers it does not have. With telemetry it
+  /// tracks the heap peak and flushes the hub on every exit; supervised,
+  /// it checks the budget and the abort flag before each dispatch and taps
+  /// the profiler (each behind its own null test). Each instance stays its
+  /// own function, so the plain loop's code is not shaped by the others.
+  template <bool kTelemetry, bool kSupervised>
+  [[gnu::noinline]] void dispatch_loop(Time deadline, std::bool_constant<kTelemetry>,
+                     std::bool_constant<kSupervised>) HB_EFFECTS(alloc, throw, rng);
 
   Time now_ = Time::zero();
   EventQueue queue_;

@@ -11,10 +11,15 @@
 // not pure.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "exp/emulab.h"
 #include "exp/planetlab.h"
+#include "exp/trace.h"
+#include "exp/web.h"
 #include "schemes/scheme.h"
 #include "workload/flow_schedule.h"
+#include "workload/web.h"
 
 namespace halfback::exp {
 namespace {
@@ -74,6 +79,75 @@ TEST(RefactorStability, EmulabTraceHashMatchesSeedGolden) {
   EXPECT_EQ(run.audit_violations, 0u);
   EXPECT_EQ(run.flows.size(), 6u);
   EXPECT_EQ(run.trace_hash, kGoldenEmulabHalfback);
+}
+
+// Result anchors for the environments that had no golden hash of their own
+// (HomeNetEnv, WebRunner, run_trace): an FNV-1a digest of the figures each
+// one reports, recorded before these environments were moved onto the
+// shared run harness. They hold in every build, audited or not — the
+// auditor only observes.
+constexpr std::uint64_t kGoldenHomeNetResults = 0xae0aac2d4bf75dd3ULL;
+constexpr std::uint64_t kGoldenWebResults = 0xf46481d9027e06efULL;
+constexpr std::uint64_t kGoldenTraceResults = 0x9d846f8452f70999ULL;
+
+void fold(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+TEST(RefactorStability, HomeNetResultsMatchGolden) {
+  HomeNetConfig config;
+  config.server_count = 20;
+  config.threads = 2;
+  const HomeNetEnv env{config};
+  std::uint64_t h = kFnvOffset;
+  for (const schemes::Scheme scheme : {schemes::Scheme::tcp, schemes::Scheme::halfback}) {
+    for (const TrialResult& t : env.run(scheme, home_profiles()[2])) {
+      fold(h, static_cast<std::uint64_t>(t.record.fct().ns()));
+      fold(h, t.record.normal_retx);
+      fold(h, t.record.proactive_retx);
+      fold(h, t.record.timeouts);
+      fold(h, t.finished ? 1 : 0);
+    }
+  }
+  EXPECT_EQ(h, kGoldenHomeNetResults) << std::hex << h;
+}
+
+TEST(RefactorStability, WebResultsMatchGolden) {
+  workload::WebCatalogConfig cc;
+  cc.site_count = 10;
+  const workload::WebsiteCatalog catalog{cc, sim::Random{3}};
+  sim::Random rng{5};
+  const auto requests = workload::make_web_schedule(
+      catalog, 0.3, sim::DataRate::megabits_per_second(15), sim::Time::seconds(8), rng);
+  std::uint64_t h = kFnvOffset;
+  for (const schemes::Scheme scheme : {schemes::Scheme::tcp, schemes::Scheme::halfback}) {
+    WebRunner::Config config;
+    for (const PageResult& page : WebRunner{config}.run(scheme, catalog, requests).pages) {
+      fold(h, static_cast<std::uint64_t>(page.response_time().ns()));
+    }
+  }
+  EXPECT_EQ(h, kGoldenWebResults) << std::hex << h;
+}
+
+TEST(RefactorStability, TraceResultsMatchGolden) {
+  const TraceConfig config;
+  std::uint64_t h = kFnvOffset;
+  for (const TraceScenario scenario :
+       {TraceScenario::halfback, TraceScenario::two_tcp_halves}) {
+    for (const FlowTrace& flow : run_trace(config, scenario).flows) {
+      for (const stats::TimeSeries::Sample& s : flow.throughput) {
+        fold(h, static_cast<std::uint64_t>(s.bucket_start.ns()));
+        fold(h, std::bit_cast<std::uint64_t>(s.mbps));
+      }
+      fold(h, static_cast<std::uint64_t>(flow.completion.ns()));
+    }
+  }
+  EXPECT_EQ(h, kGoldenTraceResults) << std::hex << h;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // bench::parse_options argument validation: numeric flags must reject junk
 // instead of silently reading 0 (the old atoi/strtoul behaviour), which
-// turned typos into misconfigured hour-long campaigns.
+// turned typos into misconfigured hour-long campaigns, and a bench must
+// refuse every shared flag it does not read instead of ignoring it.
 #include "common.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +13,13 @@
 namespace halfback::bench {
 namespace {
 
-Options parse(std::vector<const char*> args, bool honours_telemetry = false) {
+constexpr Flags kAllFlags = kFull | kSeed | kThreads | kPairs | kDuration | kReps |
+                            kCsv | kTelemetry | kPercentiles | kSupervision;
+
+Options parse(std::vector<const char*> args, Flags accepted = kAllFlags) {
   args.insert(args.begin(), "bench_test");
   return parse_options(static_cast<int>(args.size()),
-                       const_cast<char**>(args.data()), honours_telemetry);
+                       const_cast<char**>(args.data()), accepted);
 }
 
 TEST(ParseOptions, ParsesValidNumericFlags) {
@@ -38,8 +42,7 @@ TEST(ParseOptions, DefaultsSurviveWhenFlagsAbsent) {
 }
 
 TEST(ParseOptions, ParsesPercentilesAndTelemetryFlags) {
-  const Options opt =
-      parse({"--percentiles", "--telemetry=/tmp/telem"}, /*honours_telemetry=*/true);
+  const Options opt = parse({"--percentiles", "--telemetry=/tmp/telem"});
   EXPECT_TRUE(opt.percentiles);
   EXPECT_EQ(opt.telemetry_dir, "/tmp/telem");
 }
@@ -120,15 +123,55 @@ TEST(ParseOptionsDeath, RejectsNegativeDuration) {
 }
 
 TEST(ParseOptionsDeath, RejectsTelemetryWhereTheBenchIgnoresIt) {
-  EXPECT_EXIT(parse({"--telemetry=/tmp/telem"}), ::testing::ExitedWithCode(2),
-              "--telemetry is not supported by this bench");
+  EXPECT_EXIT(parse({"--telemetry=/tmp/telem"}, kAllFlags & ~kTelemetry),
+              ::testing::ExitedWithCode(2),
+              "--telemetry is not supported by this bench \\(bench_test\\)");
 }
 
 TEST(ParseOptionsDeath, RejectsEmptyTelemetryDir) {
-  EXPECT_EXIT(parse({"--telemetry="}, /*honours_telemetry=*/true),
-              ::testing::ExitedWithCode(2), "--telemetry expects a directory");
+  EXPECT_EXIT(parse({"--telemetry="}), ::testing::ExitedWithCode(2),
+              "--telemetry expects a directory");
 }
 
+// Each shared flag is refused, naming the bench, by a bench that does not
+// list it — the flags a figure used to accept and then ignore.
+TEST(ParseOptionsDeath, RejectsEverySharedFlagOutsideTheAcceptedSet) {
+  const std::vector<std::pair<const char*, Flags>> cases{
+      {"--full", kFull},
+      {"--seed=3", kSeed},
+      {"--threads=2", kThreads},
+      {"--pairs=5", kPairs},
+      {"--duration=2", kDuration},
+      {"--reps=2", kReps},
+      {"--csv=/tmp/out", kCsv},
+      {"--percentiles", kPercentiles},
+      {"--allow-quarantine", kSupervision},
+      {"--budget-events=10", kSupervision},
+      {"--storm-window=10", kSupervision},
+      {"--storm-rate=10", kSupervision},
+      {"--cell-attempts=2", kSupervision},
+      {"--quarantine=/tmp/q.json", kSupervision},
+  };
+  for (const auto& [arg, flag] : cases) {
+    const std::string name = std::string{arg}.substr(0, std::string{arg}.find('='));
+    EXPECT_EXIT(parse({arg}, kAllFlags & ~flag), ::testing::ExitedWithCode(2),
+                name + " is not supported by this bench \\(bench_test\\)")
+        << arg;
+    // The same flag passes where it is accepted.
+    parse({arg}, flag);
+  }
+}
+
+TEST(ParseOptionsDeath, ABenchWithNoSharedFlagsRefusesThemAll) {
+  EXPECT_EXIT(parse({"--seed=1"}, 0), ::testing::ExitedWithCode(2),
+              "--seed is not supported by this bench");
+}
+
+TEST(ParseOptions, HelpListsOnlyTheAcceptedFlags) {
+  EXPECT_EQ(usage("fig99", kSeed | kCsv), "usage: fig99 [--seed=N] [--csv=DIR]");
+  EXPECT_EQ(usage("table1", 0), "usage: table1");
+  EXPECT_NE(usage("all", kAllFlags).find("[--quarantine=FILE]"), std::string::npos);
+}
 TEST(OutputFiles, MakeOutputDirCreatesNestedDirectories) {
   const std::filesystem::path root =
       std::filesystem::path{::testing::TempDir()} / "hb_make_output_dir";

@@ -2,7 +2,6 @@
 // experiment environments (scaled-down configurations).
 #include <gtest/gtest.h>
 
-#include "exp/homenet.h"
 #include "exp/planetlab.h"
 #include "exp/trace.h"
 #include "exp/web.h"
@@ -109,7 +108,7 @@ TEST(HomeNetEnvTest, LowBandwidthProfileShrinksTheGain) {
 }
 
 TEST(DeadlineCensoringTest, BothEnvironmentsChargeUnfinishedTrialsTheFullTimeout) {
-  // Regression for the unified censor-at-deadline semantics (exp/censor.h):
+  // Regression for the unified censor-at-deadline semantics (run_access_trial):
   // PlanetLabEnv and HomeNetEnv must account for an unfinished flow
   // identically — completion censored AT the deadline, so a censored trial
   // contributes exactly the timeout to FCT aggregates, never whatever
@@ -181,7 +180,7 @@ TEST(WebRunnerTest, HalfbackPagesFasterThanTcp) {
 
 TEST(TraceTest, BackgroundFlowDipsAndRecovers) {
   TraceConfig config;
-  auto traces = run_trace(config, TraceScenario::halfback);
+  auto traces = run_trace(config, TraceScenario::halfback).flows;
   ASSERT_EQ(traces.size(), 2u);
   const FlowTrace& bg = traces[0];
   // Background reaches near-full rate before the short flow starts...
@@ -209,13 +208,52 @@ TEST(TraceTest, AllScenariosProduceShortFlows) {
        {TraceScenario::optimal, TraceScenario::halfback, TraceScenario::single_tcp,
         TraceScenario::two_tcp_halves}) {
     TraceConfig config;
-    auto traces = run_trace(config, scenario);
+    auto traces = run_trace(config, scenario).flows;
     const std::size_t expected = scenario == TraceScenario::two_tcp_halves ? 3u : 2u;
     EXPECT_EQ(traces.size(), expected) << to_string(scenario);
     for (std::size_t i = 1; i < traces.size(); ++i) {
       EXPECT_GT(traces[i].completion, sim::Time::zero()) << to_string(scenario);
     }
   }
+}
+
+// Every environment runs under the invariant auditor: the home-network,
+// web and trace runs report a trace hash and a clean violation count, like
+// the Emulab and PlanetLab runs always have.
+TEST(AuditedRunsTest, HomeNetTrialsCarryATraceHashAndNoViolations) {
+#ifndef HALFBACK_AUDIT
+  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
+#endif
+  HomeNetConfig config;
+  config.server_count = 6;
+  config.threads = 2;
+  for (const HomeNetProfile& profile : home_profiles()) {
+    for (const TrialResult& t : HomeNetEnv{config}.run(schemes::Scheme::halfback, profile)) {
+      EXPECT_NE(t.trace_hash, 0u) << profile.name;
+      EXPECT_EQ(t.audit_violations, 0u) << profile.name;
+    }
+  }
+}
+
+TEST(AuditedRunsTest, WebAndTraceRunsReportNoViolations) {
+#ifndef HALFBACK_AUDIT
+  GTEST_SKIP() << "audit hooks compiled out (HALFBACK_AUDIT=OFF)";
+#endif
+  workload::WebCatalogConfig cc;
+  cc.site_count = 8;
+  workload::WebsiteCatalog catalog{cc, sim::Random{4}};
+  std::vector<workload::WebRequest> requests;
+  for (int i = 0; i < 4; ++i) {
+    requests.push_back({sim::Time::seconds(1.0 * i), static_cast<std::size_t>(i)});
+  }
+  const WebRunOutcome web =
+      WebRunner{WebRunner::Config{}}.run(schemes::Scheme::halfback, catalog, requests);
+  EXPECT_NE(web.trace_hash, 0u);
+  EXPECT_EQ(web.audit_violations, 0u);
+
+  const TraceRun trace = run_trace(TraceConfig{}, TraceScenario::two_tcp_halves);
+  EXPECT_NE(trace.trace_hash, 0u);
+  EXPECT_EQ(trace.audit_violations, 0u);
 }
 
 }  // namespace

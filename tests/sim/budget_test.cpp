@@ -171,6 +171,42 @@ TEST(BudgetTest, RunUntilUnderBudgetStillHonorsTheDeadline) {
   EXPECT_EQ(simulator.events_executed(), 50u);
 }
 
+// run() ends at the last event on every dispatch path; run_until() moves
+// the clock to its deadline unless a trip stopped the run.
+TEST(BudgetTest, RunLeavesTheClockAtTheLastEventOnEveryPath) {
+  for (const bool budgeted : {false, true}) {
+    Simulator simulator{1};
+    BudgetEnforcer enforcer{RunBudget{.max_events = 1'000}};
+    if (budgeted) simulator.set_budget(&enforcer);
+    simulator.schedule(Time::milliseconds(3), [] {});
+    simulator.run();
+    EXPECT_EQ(simulator.now(), Time::milliseconds(3)) << budgeted;
+    simulator.run_until(Time::milliseconds(9));
+    EXPECT_EQ(simulator.now(), Time::milliseconds(9)) << budgeted;
+  }
+}
+
+TEST(BudgetTest, ATripLeavesTheClockAtTheTrip) {
+  Simulator simulator{1};
+  TickLoop loop{simulator, Time::milliseconds(1)};
+  loop.start();
+  BudgetEnforcer enforcer{RunBudget{.max_events = 10}};
+  simulator.set_budget(&enforcer);
+  simulator.run_until(Time::seconds(1));
+  ASSERT_TRUE(enforcer.tripped());
+  EXPECT_EQ(simulator.now(), Time::milliseconds(10));
+}
+
+TEST(BudgetTest, AnAbortRequestWithoutAnEnforcerIsIgnored) {
+  Simulator simulator{1};
+  TickLoop loop{simulator, Time::milliseconds(1)};
+  loop.start();
+  simulator.request_abort();
+  simulator.run_until(Time::milliseconds(20));
+  EXPECT_EQ(simulator.events_executed(), 20u);
+  EXPECT_EQ(simulator.now(), Time::milliseconds(20));
+}
+
 TEST(WatchdogTest, FiresAndAbortsARunawayRun) {
   Simulator simulator{1};
   TickLoop loop{simulator, Time::nanoseconds(1)};

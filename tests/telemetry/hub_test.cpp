@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "exp/emulab.h"
 #include "exp/planetlab.h"
 #include "telemetry/export.h"
@@ -104,6 +106,24 @@ TEST(HubInvariance, FaultyRunHashUnchangedWithHubInstalled) {
   EXPECT_EQ(hub.fault().packets_seen->value(), taped.faults.packets_seen);
   EXPECT_EQ(hub.fault().drops->value(), taped.faults.total_drops());
   EXPECT_GT(hub.fault().packets_seen->value(), 0u);
+}
+
+// The dispatch loop flushes its event count into the hub on every exit,
+// including a budget trip in the middle of a slice.
+TEST(Hub, DispatchCountIsFlushedWhenABudgetTrips) {
+  sim::Simulator simulator{1};
+  Hub hub;
+  simulator.set_telemetry(&hub);
+  std::function<void()> tick = [&] {
+    simulator.schedule(sim::Time::milliseconds(1), tick);
+  };
+  simulator.schedule(sim::Time::milliseconds(1), tick);
+  sim::BudgetEnforcer enforcer{sim::RunBudget{.max_events = 25}};
+  simulator.set_budget(&enforcer);
+  simulator.run();
+  ASSERT_TRUE(enforcer.tripped());
+  EXPECT_EQ(hub.sim().events_dispatched->value(), 25u);
+  EXPECT_EQ(simulator.events_executed(), 25u);
 }
 
 TEST(Hub, SnapshotRegistersPerLinkGauges) {
