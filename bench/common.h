@@ -7,11 +7,13 @@
 #pragma once
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ranges>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -216,6 +218,15 @@ inline void require_clean_audit(std::uint64_t violations) {
   std::fprintf(stderr, "invariant auditor reported %llu violations\n",
                static_cast<unsigned long long>(violations));
   std::exit(1);
+}
+
+/// The same over a figure's cells or trials: exits 1 when any element's
+/// audit_violations is non-zero (sweep cells already sum their runs).
+template <std::ranges::input_range Results>
+void require_clean_audit(const Results& results) {
+  std::uint64_t total = 0;
+  for (const auto& r : results) total += r.audit_violations;
+  require_clean_audit(total);
 }
 
 /// Create `dir` (and its parents) for output, or exit 1 saying why.

@@ -5,6 +5,7 @@
 //   * §5: tuning the proactive bandwidth ("two retransmissions for every
 //     three ACKs" instead of one per ACK).
 #include <cstdio>
+#include <numeric>
 
 #include "common.h"
 #include "exp/emulab.h"
@@ -64,6 +65,7 @@ int main(int argc, char** argv) {
                              exp::FlowRole::primary,
                              {}};
       exp::RunResult run = runner.run({part});
+      bench::require_clean_audit(run.audit_violations);
       row.push_back(stats::Table::num(run.mean_fct_ms(exp::FlowRole::primary), 0));
     }
     small.add_row(row);
@@ -85,6 +87,7 @@ int main(int argc, char** argv) {
   stats::Table load{{"variant", "mean FCT (ms)", "median (ms)",
                      "proactive retx/flow", "timeouts/flow"}};
   std::vector<std::vector<std::string>> rows(variants.size());
+  std::vector<std::uint64_t> violations(variants.size());
   exp::parallel_for(
       variants.size(),
       [&](std::size_t i) {
@@ -95,6 +98,7 @@ int main(int argc, char** argv) {
         exp::RunResult run = runner.run(
             {exp::WorkloadPart{schemes::Scheme::halfback, schedule,
                                exp::FlowRole::primary, {}}});
+        violations[i] = run.audit_violations;
         stats::Summary fct = run.fct_ms(exp::FlowRole::primary);
         stats::Summary proactive =
             run.metric(exp::FlowRole::primary, [](const exp::FlowResult& f) {
@@ -110,6 +114,8 @@ int main(int argc, char** argv) {
                    stats::Table::num(timeouts.mean(), 2)};
       },
       opt.threads);
+  bench::require_clean_audit(std::accumulate(violations.begin(), violations.end(),
+                                             std::uint64_t{0}));
   for (auto& row : rows) load.add_row(std::move(row));
   load.print();
   std::printf(

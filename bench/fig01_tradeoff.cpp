@@ -28,6 +28,8 @@ int main(int argc, char** argv) {
   }
 
   auto cells = exp::utilization_sweep(config, schemes::evaluation_set());
+
+  bench::require_clean_audit(cells);
   auto capacity = exp::feasible_capacities(
       cells, {}, [](const exp::SweepCell& c) { return c.median_fct_ms; });
   auto latency = exp::low_load_fct(cells);

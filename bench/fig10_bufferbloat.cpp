@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   struct Cell {
     double mean_fct_ms = 0.0;
     double mean_retx = 0.0;
+    std::uint64_t audit_violations = 0;
   };
   std::vector<Cell> cells(buffers_kb.size() * schemes_list.size());
 
@@ -67,9 +68,11 @@ int main(int argc, char** argv) {
               return static_cast<double>(f.record.normal_retx);
             });
         cell.mean_retx = retx.empty() ? 0.0 : retx.mean();
+        cell.audit_violations = run.audit_violations;
         cells[i] = cell;
       },
       opt.threads);
+  bench::require_clean_audit(cells);
 
   std::printf("(a) mean flow completion time (ms)\n");
   std::vector<std::string> header{"buffer KB"};

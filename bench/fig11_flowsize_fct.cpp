@@ -31,6 +31,8 @@ int main(int argc, char** argv) {
 
     auto cells = exp::flow_size_sweep(config, schemes::evaluation_set());
 
+    bench::require_clean_audit(cells);
+
     // Pivot into bin-by-scheme.
     std::map<double, std::map<schemes::Scheme, double>> by_bin;
     for (const exp::FlowSizeCell& c : cells) {

@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
 
   auto cells = exp::utilization_sweep(config, schemes::evaluation_set());
 
+  bench::require_clean_audit(cells);
+
   std::vector<std::string> header{"util %"};
   for (schemes::Scheme s : schemes::evaluation_set()) {
     header.push_back(bench::display(s));

@@ -35,6 +35,8 @@ int main(int argc, char** argv) {
 
   auto cells = exp::mix_sweep(config, kSet);
 
+  bench::require_clean_audit(cells);
+
   auto print_panel = [&](const char* title, bool shorts) {
     std::vector<std::string> header{"util %"};
     for (schemes::Scheme s : kSet) header.push_back(bench::display(s));

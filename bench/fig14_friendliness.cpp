@@ -31,6 +31,8 @@ int main(int argc, char** argv) {
 
   auto points = exp::friendliness_matrix(config, kSet);
 
+  bench::require_clean_audit(points);
+
   stats::Table table{{"scheme", "util %", "TCP FCT vs reference (x)",
                       "scheme FCT vs reference (y)", "Jain fairness of FCTs"}};
   for (const exp::FriendlinessPoint& p : points) {

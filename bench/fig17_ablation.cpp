@@ -38,6 +38,8 @@ int main(int argc, char** argv) {
 
   auto cells = exp::utilization_sweep(config, kAblationSet);
 
+  bench::require_clean_audit(cells);
+
   std::vector<std::string> header{"util %"};
   for (schemes::Scheme s : kAblationSet) header.push_back(bench::display(s));
   stats::Table table{header};

@@ -18,7 +18,8 @@ struct PlanetLabCampaign {
 };
 
 /// Run the §4.2.1 campaign: the PlanetLab scheme set over a shared path
-/// ensemble (quick: 300 pairs, full: the paper's 2600).
+/// ensemble (quick: 300 pairs, full: the paper's 2600). Exits 1 if any
+/// trial reports an invariant violation.
 inline PlanetLabCampaign run_planetlab_campaign(const Options& opt) {
   PlanetLabCampaign campaign;
   campaign.config.pair_count = opt.pairs > 0 ? opt.pairs : (opt.full ? 2600 : 300);
@@ -27,6 +28,7 @@ inline PlanetLabCampaign run_planetlab_campaign(const Options& opt) {
   exp::PlanetLabEnv env{campaign.config};
   for (schemes::Scheme scheme : schemes::planetlab_set()) {
     campaign.trials[scheme] = env.run(scheme);
+    require_clean_audit(campaign.trials[scheme]);
   }
   return campaign;
 }

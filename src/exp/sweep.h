@@ -22,6 +22,9 @@ struct SweepCell {
   double mean_timeouts = 0.0;
   std::size_t flows = 0;
   std::size_t unfinished = 0;
+  /// Invariant violations summed over the runs behind this cell (0 =
+  /// clean; always 0 when HALFBACK_AUDIT compiles the hooks out).
+  std::uint64_t audit_violations = 0;
 };
 
 /// Fig. 12 / Fig. 17: all-short-flow workload at each utilization, same
@@ -72,6 +75,7 @@ struct MixCell {
   /// Normalized by the same-utilization all-TCP baseline (1.0 = no change).
   double short_fct_normalized = 0.0;
   double long_fct_normalized = 0.0;
+  std::uint64_t audit_violations = 0;  ///< as in SweepCell
 };
 
 std::vector<MixCell> mix_sweep(const MixSweepConfig& config,
@@ -95,6 +99,7 @@ struct FriendlinessPoint {
   /// Jain fairness index over all flows' FCTs in the mixed run (1 = every
   /// flow fared equally, regardless of protocol).
   double fct_fairness = 0.0;
+  std::uint64_t audit_violations = 0;  ///< as in SweepCell
 };
 
 std::vector<FriendlinessPoint> friendliness_matrix(
@@ -117,6 +122,7 @@ struct FlowSizeCell {
   double bin_center_kb = 0.0;  // lint: unit-ok(statistics edge: bin center in KB for the Fig. 11 axis)
   double mean_fct_ms = 0.0;    // lint: unit-ok(statistics edge: report column in ms)
   std::size_t flows = 0;
+  std::uint64_t audit_violations = 0;  ///< as in SweepCell
 };
 
 std::vector<FlowSizeCell> flow_size_sweep(const FlowSizeSweepConfig& config,

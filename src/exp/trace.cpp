@@ -4,6 +4,7 @@
 
 #include "exp/run.h"
 #include "sim/timer.h"
+#include "telemetry/timeseries.h"
 
 namespace halfback::exp {
 
@@ -15,6 +16,20 @@ const char* to_string(TraceScenario scenario) {
     case TraceScenario::two_tcp_halves: return "two-tcp-halves";
   }
   return "?";
+}
+
+std::vector<ThroughputSample> throughput_samples(
+    const telemetry::WindowSeries& series) {
+  std::vector<ThroughputSample> out;
+  out.reserve(series.window_count());
+  const double seconds = series.width().to_seconds();
+  for (std::size_t i = 0; i < series.window_count(); ++i) {
+    ThroughputSample s;
+    s.bucket_start = series.width() * static_cast<double>(i);
+    s.mbps = static_cast<double>(series.window(i).bytes) * 8.0 / seconds / 1e6;
+    out.push_back(s);
+  }
+  return out;
 }
 
 TraceRun run_trace(const TraceConfig& config, TraceScenario scenario) {
@@ -33,18 +48,22 @@ TraceRun run_trace(const TraceConfig& config, TraceScenario scenario) {
     std::string label;
     net::FlowId flow;
     std::size_t pair = 0;
-    stats::TimeSeries series;
+    telemetry::WindowSeries series;
     std::uint32_t seen_segments = 0;
     transport::SenderBase* sender = nullptr;
   };
   std::vector<std::unique_ptr<Tracked>> tracked;
 
+  // The sampler's last bucket starts at or before `duration`.
+  const auto windows =
+      static_cast<std::size_t>(config.duration.ns() / config.bucket.ns()) + 1;
   auto start_flow = [&](const std::string& label, schemes::Scheme scheme,
                         std::uint64_t bytes, std::size_t pair, sim::Time at,
                         std::uint32_t burst_window) {
     auto t = std::make_unique<Tracked>(
         Tracked{label, static_cast<net::FlowId>(tracked.size() + 1), pair,
-                stats::TimeSeries{config.bucket}, 0, nullptr});
+                telemetry::WindowSeries{label, config.bucket, windows}, 0,
+                nullptr});
     Tracked* raw = t.get();
     tracked.push_back(std::move(t));
     simulator.schedule_at(at, [&, raw, scheme, bytes, burst_window] {
@@ -100,7 +119,7 @@ TraceRun run_trace(const TraceConfig& config, TraceScenario scenario) {
             static_cast<std::uint64_t>(now_segments - t->seen_segments) *
             net::kSegmentPayloadBytes;
         // Attribute to the bucket that just ended.
-        t->series.add_bytes(simulator.now() - config.bucket, bytes);
+        t->series.tally_bytes(simulator.now() - config.bucket, bytes);
         t->seen_segments = now_segments;
       }
     }
@@ -116,7 +135,7 @@ TraceRun run_trace(const TraceConfig& config, TraceScenario scenario) {
   for (auto& t : tracked) {
     FlowTrace ft;
     ft.label = t->label;
-    ft.throughput = t->series.throughput();
+    ft.throughput = throughput_samples(t->series);
     if (t->sender != nullptr && t->sender->complete()) {
       ft.completion = t->sender->record().completion_time;
     }

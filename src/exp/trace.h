@@ -8,7 +8,10 @@
 
 #include "exp/emulab.h"
 #include "sim/bytes.h"
-#include "stats/time_series.h"
+
+namespace halfback::telemetry {
+class WindowSeries;
+}
 
 namespace halfback::exp {
 
@@ -34,13 +37,25 @@ struct TraceConfig {
   sim::Time duration = sim::Time::seconds(4);
 };
 
+/// One bucket of a flow's throughput series.
+struct ThroughputSample {
+  sim::Time bucket_start;
+  double mbps = 0.0;
+};
+
 /// Per-flow throughput series, sampled at the receiver (unique bytes
-/// delivered per bucket — "successfully transmitted packets").
+/// delivered per bucket — "successfully transmitted packets"), one sample
+/// per bucket from 0 to the last nonempty one.
 struct FlowTrace {
   std::string label;
-  std::vector<stats::TimeSeries::Sample> throughput;
+  std::vector<ThroughputSample> throughput;
   sim::Time completion;  ///< zero if the flow did not finish
 };
+
+/// A flow's windows as Mbps samples (bytes * 8 / window width), from
+/// window 0 to the last touched one; untouched windows read 0.
+std::vector<ThroughputSample> throughput_samples(
+    const telemetry::WindowSeries& series);
 
 /// One scenario's traces, background flow first.
 struct TraceRun {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "audit/auditor.h"
+#include "telemetry/hub.h"
 
 namespace halfback::net {
 
@@ -34,8 +35,8 @@ void Link::send(Packet p) {
     return;
   }
   if (transmitting_) {
-    // The queue raises the series' queue-depth peak itself (it knows its
-    // resident count without a virtual packet_count() call).
+    // The queue reports its depth to the tap itself (it knows its resident
+    // count without a virtual packet_count() call).
     queue_->enqueue(std::move(p), simulator_.now());
     return;
   }
@@ -83,7 +84,6 @@ void Link::apply_faults() {
     HALFBACK_AUDIT_HOOK(simulator_.auditor(),
                         on_link_fault_dropped(*this, tx_packet_));
     record_fault(telemetry::FaultKind::drop);
-    if (series_ != nullptr) series_->tally_drop(simulator_.now());
     return;
   }
   if (decision.corrupt && !tx_packet_.corrupted) {
@@ -123,9 +123,7 @@ void Link::apply_faults() {
 }
 
 void Link::record_fault(telemetry::FaultKind kind) {
-  if (tape_ == nullptr) return;
-  tape_->record(simulator_.now(), telemetry::TapeEventKind::fault_hit,
-                static_cast<std::uint32_t>(kind), tx_packet_.uid);
+  if (tap_ != nullptr) tap_->fault(simulator_.now(), kind, tx_packet_.uid);
 }
 
 void Link::deliver_trampoline(void* context, PacketEvent& node) {
@@ -137,32 +135,12 @@ void Link::deliver(PacketEvent& node) {
   pool_->release(node);
   ++stats_.delivered_packets;
   stats_.delivered_bytes += p.size_bytes;
-  if (series_ != nullptr) {
-    series_->tally_packets(simulator_.now(), 1);
-    series_->tally_bytes(simulator_.now(), p.size_bytes);
-  }
+  if (tap_ != nullptr) tap_->delivered(simulator_.now(), p.size_bytes);
   HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_delivered(*this, p));
-  if (receiver_) {
-    receiver_(std::move(p));
-  } else if (dst_node_ != nullptr) {
+  if (dst_node_ != nullptr) {
     HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_node_received(dst_node_->id(), p));
     dst_node_->handle(std::move(p));
   }
-}
-
-// lint: function-ok(tap-chaining accessor; wiring time only, never per packet)
-std::function<void(Packet)> Link::receiver() const {
-  if (receiver_) return receiver_;
-  if (dst_node_ == nullptr) return {};
-  // Wrap the node fast path so a tap's captured downstream still delivers
-  // (and still reports the arrival to an attached auditor).
-  Node* node = dst_node_;
-  sim::Simulator& simulator = simulator_;
-  return [node, &simulator](Packet p) {
-    (void)simulator;
-    HALFBACK_AUDIT_HOOK(simulator.auditor(), on_node_received(node->id(), p));
-    node->handle(std::move(p));
-  };
 }
 
 void Link::on_transmission_complete() {

@@ -18,6 +18,11 @@
 #include "sim/data_rate.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "telemetry/flight_recorder.h"
+
+namespace halfback::telemetry {
+class LinkTap;
+}  // namespace halfback::telemetry
 
 namespace halfback::net {
 
@@ -79,22 +84,9 @@ class Link {
        std::unique_ptr<PacketQueue> queue, LossRate random_loss_rate = {},
        PacketPool* pool = nullptr);
 
-  /// Where delivered packets go (the far-end node). The node fast path: a
-  /// direct call into Node::handle with no type erasure on the per-packet
-  /// hop. An installed set_receiver() callback takes precedence, so taps
-  /// and tests can still intercept delivery.
+  /// Where delivered packets go (the far-end node): a direct call into
+  /// Node::handle with no type erasure on the per-packet hop.
   void set_receiver_node(Node& node) { dst_node_ = &node; }
-
-  /// Custom delivery callback; overrides the node fast path while set.
-  // lint: function-ok(bound once at wiring time; invoked, never rebound, per packet)
-  void set_receiver(std::function<void(Packet)> receiver) {
-    receiver_ = std::move(receiver);
-  }
-  /// Current delivery target (empty if none) — lets taps chain. When the
-  /// link delivers straight to a node, the returned callable wraps that
-  /// node so a tap's downstream keeps delivering.
-  // lint: function-ok(accessor for the once-bound delivery target)
-  std::function<void(Packet)> receiver() const;
 
   /// Fault-injection hook: packets for which the filter returns false are
   /// dropped before entering the queue (counted as corrupted). Used by
@@ -111,21 +103,11 @@ class Link {
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() const { return fault_hook_; }
 
-  /// Attach this link's flight-recorder tape (nullptr detaches; owned by
-  /// the telemetry Hub). Fault hits are recorded on it; queue drops go on
-  /// the same tape via PacketQueue::set_tape. Recording is confined to the
-  /// apply_faults slow path — the fault-free per-packet cost is unchanged.
-  void set_tape(telemetry::Tape* tape) { tape_ = tape; }
-  telemetry::Tape* tape() const { return tape_; }
-
-  /// Attach this link's windowed time-series (nullptr detaches; owned by
-  /// the telemetry Hub, which hands the same series to the egress queue for
-  /// drop tallies). Deliveries and queue-depth peaks land in the tumbling
-  /// window of their instant; each tally is a bounds check plus indexed
-  /// adds, so the per-packet cost with no series attached stays one null
-  /// test.
-  void set_series(telemetry::WindowSeries* series) { series_ = series; }
-  telemetry::WindowSeries* series() const { return series_; }
+  /// Attach this link's telemetry tap (nullptr detaches; owned by the
+  /// telemetry Hub, which hands the same tap to the egress queue). The tap
+  /// tallies deliveries and records fault hits; with no tap attached the
+  /// per-packet cost is one null test.
+  void set_tap(telemetry::LinkTap* tap) { tap_ = tap; }
 
   /// Hand a packet to the link. It is queued if the transmitter is busy and
   /// may be dropped by the queue discipline.
@@ -180,7 +162,7 @@ class Link {
   void launch(Packet p, sim::Time pipe_delay);
   /// Out-of-line slow path: consult fault_hook_ and act on its decision.
   void apply_faults();
-  /// Record a fault-hit tape event for tx_packet_ (no-op without a tape).
+  /// Report a fault hit on tx_packet_ to the tap (no-op without one).
   void record_fault(telemetry::FaultKind kind);
 
   static void deliver_trampoline(void* context, PacketEvent& node);
@@ -194,11 +176,9 @@ class Link {
   LossRate random_loss_rate_;
   sim::Random loss_rng_;
   Node* dst_node_ = nullptr;                        ///< direct-delivery fast path
-  std::function<void(Packet)> receiver_;            // lint: function-ok(bound once at wiring time)
   std::function<bool(const Packet&)> packet_filter_;  // lint: function-ok(test-only hook)
   FaultHook* fault_hook_ = nullptr;  ///< not owned; nullptr = fault-free fast path
-  telemetry::Tape* tape_ = nullptr;  ///< not owned; nullptr = no recording
-  telemetry::WindowSeries* series_ = nullptr;  ///< not owned; nullptr = none
+  telemetry::LinkTap* tap_ = nullptr;  ///< not owned; nullptr = no telemetry
   bool transmitting_ = false;
   LinkStats stats_;
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "telemetry/hub.h"
+
 namespace halfback::net {
 
 void PacketQueue::record_enqueue(const Packet& p, sim::Time now,
@@ -11,7 +13,7 @@ void PacketQueue::record_enqueue(const Packet& p, sim::Time now,
   stats_.max_backlog_bytes =
       std::max(stats_.max_backlog_bytes, sim::Bytes{byte_length()});
   HALFBACK_AUDIT_HOOK(auditor_, on_queue_enqueued(*this, p));
-  if (series_ != nullptr) series_->raise_queue_peak(now, resident_packets);
+  if (tap_ != nullptr) tap_->enqueued(now, resident_packets);
 }
 
 void PacketQueue::record_drop(const Packet& p, sim::Time now,
@@ -19,10 +21,7 @@ void PacketQueue::record_drop(const Packet& p, sim::Time now,
   ++stats_.dropped_packets;
   stats_.dropped_bytes += p.size_bytes;
   HALFBACK_AUDIT_HOOK(auditor_, on_queue_dropped(*this, p, context));
-  if (tape_ != nullptr) {
-    tape_->record(now, telemetry::TapeEventKind::queue_drop, p.seq, p.flow);
-  }
-  if (series_ != nullptr) series_->tally_drop(now);
+  if (tap_ != nullptr) tap_->queue_drop(now, p.seq, p.flow);
   if (drop_callback_) drop_callback_(p);
 }
 

@@ -14,8 +14,10 @@
 #include "sim/bytes.h"
 #include "sim/random.h"
 #include "sim/time.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/timeseries.h"
+
+namespace halfback::telemetry {
+class LinkTap;
+}  // namespace halfback::telemetry
 
 namespace halfback::net {
 
@@ -75,25 +77,14 @@ class PacketQueue {
   /// outside a Network. Auditors key their queue shadows on it.
   std::uint32_t link_id() const { return link_id_; }
 
-  /// Attach this queue's flight-recorder tape (nullptr detaches; owned by
-  /// the telemetry Hub). Drops are recorded on it; see
-  /// telemetry::Hub::instrument_network.
-  void set_tape(telemetry::Tape* tape) { tape_ = tape; }
-  telemetry::Tape* tape() const { return tape_; }
-
-  /// Attach this queue's windowed time-series (nullptr detaches; owned by
-  /// the telemetry Hub — the same per-link series the owning Link tallies
-  /// deliveries on). Drops are tallied into the window of their instant.
-  void set_series(telemetry::WindowSeries* series) { series_ = series; }
-  telemetry::WindowSeries* series() const { return series_; }
+  /// Attach the owning link's telemetry tap (nullptr detaches; owned by
+  /// the telemetry Hub, see telemetry::Hub::instrument_network). Admissions
+  /// report the queue depth to it and drops are recorded on it.
+  void set_tap(telemetry::LinkTap* tap) { tap_ = tap; }
 
   /// Invoked for every dropped packet (for per-flow loss accounting).
   void set_drop_callback(std::function<void(const Packet&)> cb) {
     drop_callback_ = std::move(cb);
-  }
-  /// Currently-installed drop callback (empty if none) — lets taps chain.
-  const std::function<void(const Packet&)>& drop_callback() const {
-    return drop_callback_;
   }
 
  protected:
@@ -102,7 +93,7 @@ class PacketQueue {
   /// distinguishes admission drops (packet never entered the backlog) from
   /// in-queue drops (CoDel discarding a resident packet at dequeue).
   /// `resident_packets` is the post-admission depth, which the caller knows
-  /// statically — keeping the time-series queue-peak tap off the virtual
+  /// statically — keeping the tap's queue-depth report off the virtual
   /// packet_count() so the hot path stays devirtualized.
   void record_enqueue(const Packet& p, sim::Time now,
                       std::size_t resident_packets);
@@ -117,8 +108,7 @@ class PacketQueue {
   std::function<void(const Packet&)> drop_callback_;
   audit::Auditor* auditor_ = nullptr;
   std::uint32_t link_id_ = kNoLinkId;
-  telemetry::Tape* tape_ = nullptr;  ///< not owned; nullptr = no recording
-  telemetry::WindowSeries* series_ = nullptr;  ///< not owned; nullptr = none
+  telemetry::LinkTap* tap_ = nullptr;  ///< not owned; nullptr = no telemetry
 };
 
 /// Classic FIFO drop-tail queue bounded in bytes — the discipline used at

@@ -155,8 +155,7 @@ namespace {
 
 /// Everything except the closing "]}" — shared by the recorder-only and
 /// full-hub overloads so the recorder prefix stays byte-identical.
-void write_trace_tape_events(std::ostream& out, const FlightRecorder& recorder,
-                             sim::Time end) {
+void write_trace_tape_events(std::ostream& out, const FlightRecorder& recorder) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   out << "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
          "\"args\":{\"name\":\"flows\"}}";
@@ -175,20 +174,9 @@ void write_trace_tape_events(std::ostream& out, const FlightRecorder& recorder,
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
         << json_escape(label) << "\"}}";
 
-    const auto& phases = tape.phases();
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-      const sim::Time start = phases[i].start;
-      const sim::Time stop = i + 1 < phases.size() ? phases[i + 1].start : end;
-      const std::int64_t dur = stop.ns() - start.ns();
-      out << ",\n{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-          << ",\"cat\":\"phase\",\"name\":\"" << to_string(phases[i].phase)
-          << "\",\"ts\":" << micros(start.ns()) << ",\"dur\":" << micros(dur)
-          << "}";
-    }
-
     for (std::size_t i = 0; i < tape.size(); ++i) {
       const TapeEvent& ev = tape.event(i);
-      // Phase transitions already render as duration spans above.
+      // Phases render as nested spans on pid 3 (full-hub overload).
       if (ev.kind == TapeEventKind::phase_enter) continue;
       out << ",\n{\"ph\":\"i\",\"pid\":" << pid << ",\"tid\":" << tid
           << ",\"cat\":\"tape\",\"s\":\"t\",\"name\":\"" << to_string(ev.kind)
@@ -297,20 +285,39 @@ void write_trace_span_events(std::ostream& out, const SpanRecorder& spans,
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& out, const FlightRecorder& recorder,
-                        sim::Time end) {
-  write_trace_tape_events(out, recorder, end);
+std::string tape_timeline(const Tape& tape) {
+  std::string out;
+  char line[96];
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    const TapeEvent& ev = tape.event(i);
+    if (ev.kind == TapeEventKind::phase_enter) {
+      std::snprintf(line, sizeof line, "%10.3f ms  %-15s %s\n", ev.at.to_ms(),
+                    to_string(ev.kind), to_string(static_cast<SpanKind>(ev.a)));
+    } else {
+      std::snprintf(line, sizeof line, "%10.3f ms  %-15s a=%" PRIu32 " b=%" PRIu64 "\n",
+                    ev.at.to_ms(), to_string(ev.kind), ev.a, ev.b);
+    }
+    out += line;
+  }
+  if (tape.dropped() > 0) {
+    out += "(" + std::to_string(tape.dropped()) + " older events overwritten)\n";
+  }
+  return out;
+}
+
+void write_chrome_trace(std::ostream& out, const FlightRecorder& recorder) {
+  write_trace_tape_events(out, recorder);
   out << "\n]}\n";
 }
 
-std::string chrome_trace_json(const FlightRecorder& recorder, sim::Time end) {
+std::string chrome_trace_json(const FlightRecorder& recorder) {
   std::ostringstream out;
-  write_chrome_trace(out, recorder, end);
+  write_chrome_trace(out, recorder);
   return out.str();
 }
 
 void write_chrome_trace(std::ostream& out, const Hub& hub, sim::Time end) {
-  write_trace_tape_events(out, hub.recorder(), end);
+  write_trace_tape_events(out, hub.recorder());
   write_trace_span_events(out, hub.spans(), end);
   out << "\n]}\n";
 }

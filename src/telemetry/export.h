@@ -8,8 +8,9 @@
 //  - metrics JSONL: one self-describing JSON object per line per metric.
 //  - Prometheus text: the conventional HELP/TYPE/sample exposition.
 //  - Chrome trace_event JSON: load in Perfetto / chrome://tracing. pid 1
-//    carries one thread per flow tape, pid 2 one per link tape; phase
-//    spans render as duration events, tape points as instants.
+//    carries one thread per flow tape, pid 2 one per link tape, tape points
+//    as instants; the full-hub overload adds the span log on pid 3, where
+//    each flow's phases render as nested duration events.
 #pragma once
 
 #include <iosfwd>
@@ -45,12 +46,15 @@ std::string metrics_jsonl(const MetricRegistry& registry)
 void write_prometheus(std::ostream& out, const MetricRegistry& registry);
 std::string prometheus_text(const MetricRegistry& registry);
 
-/// `end` closes the final phase span of every tape (pass the simulator
-/// clock at snapshot time).
-void write_chrome_trace(std::ostream& out, const FlightRecorder& recorder,
-                        sim::Time end);
-std::string chrome_trace_json(const FlightRecorder& recorder, sim::Time end)
+/// The tapes alone: per-tape thread metadata and point events.
+void write_chrome_trace(std::ostream& out, const FlightRecorder& recorder);
+std::string chrome_trace_json(const FlightRecorder& recorder)
     HB_EFFECTS(alloc, throw);
+
+/// `tape` as text, one event per line, oldest first: the time in ms, the
+/// event name and its a/b payloads (a phase_enter names its phase), then a
+/// note if the ring wrapped.
+std::string tape_timeline(const Tape& tape) HB_EFFECTS(alloc, throw);
 
 /// Full-hub Chrome trace: the recorder output above, byte-identical, plus
 /// the causal span log as nested B/E duration events on pid 3 — one thread

@@ -2,18 +2,6 @@
 
 namespace halfback::telemetry {
 
-const char* to_string(FlowPhase phase) {
-  switch (phase) {
-    case FlowPhase::handshake: return "handshake";
-    case FlowPhase::pacing: return "pacing";
-    case FlowPhase::transfer: return "transfer";
-    case FlowPhase::ropr: return "ropr";
-    case FlowPhase::fallback: return "fallback";
-    case FlowPhase::done: return "done";
-  }
-  return "?";
-}
-
 const char* to_string(TapeEventKind kind) {
   switch (kind) {
     case TapeEventKind::flow_start: return "flow_start";

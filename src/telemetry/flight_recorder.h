@@ -1,20 +1,19 @@
 // Flow flight-recorder: always-on, bounded-memory event timelines.
 //
 // Each flow (and each instrumented link) gets a Tape: a fixed-capacity ring
-// buffer of compact point events plus a small list of phase transitions.
-// Rings are carved out of slab allocations — creating a tape in steady
-// state touches the allocator only when a slab fills — and recording an
-// event is a handful of stores, so tapes can stay installed in production
-// runs, unlike net::PacketTracer's copy-the-packet model (debug only).
+// buffer of compact point events. Rings are carved out of slab
+// allocations — creating a tape in steady state touches the allocator only
+// when a slab fills — and recording an event is a handful of stores, so
+// tapes stay installed in production runs.
 //
 // When a ring wraps, the oldest point events are overwritten (a flight
-// recorder keeps the newest history) and `dropped()` counts the loss; phase
-// transitions are kept separately and never overwritten, so the Chrome
-// exporter can always render complete phase spans.
+// recorder keeps the newest history) and `dropped()` counts the loss. A
+// flow's phases are not kept here: the span log (telemetry/span.h) holds
+// them, and the ring only carries a phase_enter point per transition.
 //
 // Everything here is inline and depends only on sim/time.h: the recording
-// layers (net, transport, schemes) use Tape through a nullable pointer
-// without linking against the telemetry library.
+// layers (net, transport, schemes) reach tapes through their telemetry tap
+// (telemetry/hub.h) without linking against the telemetry library.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +28,6 @@
 
 namespace halfback::telemetry {
 
-/// Transport/scheme phases a flow moves through. `transfer` is the generic
-/// data phase for schemes without finer structure.
-enum class FlowPhase : std::uint8_t {
-  handshake,
-  pacing,
-  transfer,
-  ropr,
-  fallback,
-  done,
-};
-
-const char* to_string(FlowPhase phase);
-
 /// Point events a tape records. `a`/`b` carry kind-specific detail
 /// (sequence numbers, nanosecond durations, fault kinds — see
 /// docs/telemetry.md for the catalog).
@@ -49,7 +35,7 @@ enum class TapeEventKind : std::uint8_t {
   flow_start,
   syn_sent,        ///< a = attempt number (1 = first)
   established,     ///< b = handshake RTT in ns
-  phase_enter,     ///< a = FlowPhase
+  phase_enter,     ///< a = SpanKind entered (flow = back at the root: done)
   segment_sent,    ///< a = seq
   retx_sent,       ///< a = seq (loss-triggered)
   proactive_sent,  ///< a = seq, b = ROPR backward position
@@ -80,14 +66,7 @@ struct TapeEvent {
   TapeEventKind kind = TapeEventKind::flow_start;
 };
 
-/// One phase transition; the span ends at the next transition (or the
-/// export end time).
-struct PhaseSpan {
-  sim::Time start;
-  FlowPhase phase = FlowPhase::handshake;
-};
-
-/// A ring of TapeEvents plus the phase-transition list for one track.
+/// A ring of TapeEvents for one track.
 class Tape {
  public:
   void record(sim::Time at, TapeEventKind kind, std::uint32_t a = 0,
@@ -98,22 +77,6 @@ class Tape {
     slot.a = a;
     slot.b = b;
     ++head_;
-  }
-
-  /// Record a phase transition (kept out of the ring; also mirrored into it
-  /// as a phase_enter point event for the flat timeline view). Consecutive
-  /// duplicate phases collapse.
-  void enter_phase(sim::Time at, FlowPhase phase) HB_EFFECTS(alloc) {
-    if (!phases_.empty() && phases_.back().phase == phase) return;
-    if (!phases_.empty() && phases_.back().start == at) {
-      // The previous phase lasted zero time (e.g. a base-class "transfer"
-      // immediately refined to "pacing"); replace rather than keep a
-      // zero-width span.
-      phases_.back().phase = phase;
-    } else if (phases_.size() < kMaxPhaseSpans) {
-      phases_.push_back(PhaseSpan{at, phase});
-    }
-    record(at, TapeEventKind::phase_enter, static_cast<std::uint32_t>(phase));
   }
 
   TrackKind track() const { return track_; }
@@ -128,13 +91,8 @@ class Tape {
     return ring_[(head_ - size() + i) % capacity_];
   }
 
-  const std::vector<PhaseSpan>& phases() const { return phases_; }
-
  private:
   friend class FlightRecorder;
-  // A tape is pathological past a handful of transitions; cap so a buggy
-  // caller cannot grow phases_ without bound.
-  static constexpr std::size_t kMaxPhaseSpans = 16;
 
   Tape(TrackKind track, std::uint64_t id, std::string label, TapeEvent* ring,
        std::size_t capacity)
@@ -150,7 +108,6 @@ class Tape {
   TapeEvent* ring_;  ///< capacity_ slots inside a FlightRecorder slab
   std::size_t capacity_;
   std::uint64_t head_ = 0;
-  std::vector<PhaseSpan> phases_;
 };
 
 /// Owns the tapes and their slab-allocated rings. Tape creation order is

@@ -102,11 +102,10 @@ void Hub::instrument_network(net::Network& network) {
   for (std::size_t i = 0; i < links.size(); ++i) {
     Tape& tape = recorder_.tape(TrackKind::link, i,
                                 "link " + std::to_string(i));
-    links[i]->set_tape(&tape);
-    links[i]->queue().set_tape(&tape);
-    WindowSeries& link_series = series("link." + std::to_string(i));
-    links[i]->set_series(&link_series);
-    links[i]->queue().set_series(&link_series);
+    LinkTap& tap =
+        link_taps_.emplace_back(tape, series("link." + std::to_string(i)));
+    links[i]->set_tap(&tap);
+    links[i]->queue().set_tap(&tap);
   }
 }
 

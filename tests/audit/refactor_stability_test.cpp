@@ -140,7 +140,7 @@ TEST(RefactorStability, TraceResultsMatchGolden) {
   for (const TraceScenario scenario :
        {TraceScenario::halfback, TraceScenario::two_tcp_halves}) {
     for (const FlowTrace& flow : run_trace(config, scenario).flows) {
-      for (const stats::TimeSeries::Sample& s : flow.throughput) {
+      for (const ThroughputSample& s : flow.throughput) {
         fold(h, static_cast<std::uint64_t>(s.bucket_start.ns()));
         fold(h, std::bit_cast<std::uint64_t>(s.mbps));
       }

@@ -30,6 +30,7 @@ TEST(UtilizationSweepTest, ProducesCellPerSchemePerUtilization) {
     EXPECT_GT(cell.flows, 0u);
     EXPECT_GT(cell.mean_fct_ms, 50.0);
     EXPECT_LT(cell.mean_fct_ms, 10'000.0);
+    EXPECT_EQ(cell.audit_violations, 0u);
   }
 }
 
@@ -100,6 +101,7 @@ TEST(MixSweepTest, NormalizedBaselineIsUnity) {
   // TCP shorts vs the TCP baseline: the same run, so exactly 1.0.
   EXPECT_NEAR(cells[0].short_fct_normalized, 1.0, 1e-9);
   EXPECT_NEAR(cells[0].long_fct_normalized, 1.0, 1e-9);
+  EXPECT_EQ(cells[0].audit_violations, 0u);
 }
 
 TEST(MixSweepTest, HalfbackShortsBeatTcpShorts) {
@@ -125,6 +127,7 @@ TEST(FriendlinessTest, TcpAgainstItselfIsNeutral) {
   // TCP mixed with TCP: both coordinates near 1 (sampling noise only).
   EXPECT_NEAR(points[0].tcp_fct_vs_reference, 1.0, 0.15);
   EXPECT_NEAR(points[0].scheme_fct_vs_reference, 1.0, 0.15);
+  EXPECT_EQ(points[0].audit_violations, 0u);
 }
 
 TEST(FlowSizeSweepTest, BinsCoverDistribution) {
@@ -139,6 +142,7 @@ TEST(FlowSizeSweepTest, BinsCoverDistribution) {
   for (const FlowSizeCell& cell : cells) {
     EXPECT_EQ(cell.scheme, schemes::Scheme::tcp);
     EXPECT_LE(cell.bin_center_kb, 1000.0);  // truncated at 1 MB
+    EXPECT_EQ(cell.audit_violations, 0u);
     total_flows += cell.flows;
   }
   EXPECT_GT(total_flows, 10u);

@@ -51,6 +51,7 @@ struct HookFixture {
   Simulator sim{1};
   ScriptedHook hook;
   std::vector<std::pair<Time, Packet>> arrivals;
+  Node sink{0};  // test packets keep the default destination, node 0
   std::unique_ptr<Link> link;
 
   HookFixture() {
@@ -59,8 +60,9 @@ struct HookFixture {
     link = std::make_unique<Link>(
         sim, DataRate::megabits_per_second(15), 10_ms,
         std::make_unique<DropTailQueue>(1 << 20), 0.0);
-    link->set_receiver(
+    sink.set_local_handler(
         [this](Packet p) { arrivals.emplace_back(sim.now(), std::move(p)); });
+    link->set_receiver_node(sink);
     link->set_fault_hook(&hook);
   }
 };

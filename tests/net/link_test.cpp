@@ -26,13 +26,19 @@ Packet make_packet(std::uint32_t bytes, std::uint32_t seq = 0) {
 struct LinkFixture {
   Simulator sim{1};
   std::vector<std::pair<Time, Packet>> arrivals;
+  Node sink{0};  // test packets keep the default destination, node 0
+
+  LinkFixture() {
+    sink.set_local_handler(
+        [this](Packet p) { arrivals.emplace_back(sim.now(), std::move(p)); });
+  }
 
   std::unique_ptr<Link> make_link(DataRate rate, Time delay,
                                   std::uint64_t queue_bytes = 1 << 20,
                                   double loss = 0.0) {
     auto link = std::make_unique<Link>(
         sim, rate, delay, std::make_unique<DropTailQueue>(queue_bytes), loss);
-    link->set_receiver([this](Packet p) { arrivals.emplace_back(sim.now(), std::move(p)); });
+    link->set_receiver_node(sink);
     return link;
   }
 };

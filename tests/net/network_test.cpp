@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -49,6 +50,34 @@ TEST(NetworkTest, DirectDelivery) {
   sim.run();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].dst, b);
+}
+
+TEST(NetworkTest, LocalHandlerChainsThroughTheAccessor) {
+  // An observer wraps the installed handler (the pattern perfbench's
+  // probes use): it sees the arrival first, and the stack still gets it.
+  Simulator sim{1};
+  Network net{sim};
+  NodeId a = net.add_node();
+  NodeId b = net.add_node();
+  net.connect(a, b, fast_link());
+  net.compute_routes();
+
+  std::vector<std::string> seen;
+  net.node(b).set_local_handler([&](Packet) { seen.push_back("stack"); });
+  net.node(b).set_local_handler(
+      [&, stack = net.node(b).local_handler()](Packet p) {
+        seen.push_back("observer");
+        stack(std::move(p));
+      });
+
+  Packet p;
+  p.type = PacketType::data;
+  p.src = a;
+  p.dst = b;
+  p.size_bytes = 1000;
+  net.node(a).send(p);
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"observer", "stack"}));
 }
 
 TEST(NetworkTest, MultiHopForwarding) {

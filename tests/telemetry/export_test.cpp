@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/emulab.h"
@@ -30,7 +31,44 @@ struct ExportedRun {
   std::string series;
   std::string prometheus;
   std::string manifest;
+  std::uint64_t tape_rings = 0;  ///< tape_ring_digest of the recorder
 };
+
+/// `text` without the lines that contain `drop` (each Chrome trace event
+/// sits on its own line).
+std::string without_lines_containing(const std::string& text,
+                                     std::string_view drop) {
+  std::istringstream lines{text};
+  std::string out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(drop) != std::string::npos) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+/// FNV-1a over every tape's identity and ring contents. A phase_enter
+/// event's `a` payload (the phase code) is left out, so the digest pins
+/// which events the rings hold, when, and how many wrapped away.
+std::uint64_t tape_ring_digest(const FlightRecorder& recorder) {
+  std::string text;
+  for (std::size_t t = 0; t < recorder.tape_count(); ++t) {
+    const Tape& tape = recorder.tape_at(t);
+    text += std::to_string(static_cast<int>(tape.track())) + ' ' +
+            std::to_string(tape.id()) + ' ' + tape.label() + ' ' +
+            std::to_string(tape.dropped()) + ' ' +
+            std::to_string(tape.size()) + '\n';
+    for (std::size_t i = 0; i < tape.size(); ++i) {
+      const TapeEvent& ev = tape.event(i);
+      const bool phase = ev.kind == TapeEventKind::phase_enter;
+      text += std::to_string(ev.at.ns()) + ' ' + to_string(ev.kind) + ' ' +
+              std::to_string(phase ? 0 : ev.a) + ' ' + std::to_string(ev.b) +
+              '\n';
+    }
+  }
+  return fnv1a64(text);
+}
 
 ExportedRun run_and_export() {
   Hub hub;
@@ -53,12 +91,13 @@ ExportedRun run_and_export() {
 
   ExportedRun out;
   out.metrics = metrics_jsonl(hub.registry());
-  out.trace = chrome_trace_json(hub.recorder(), run.sim_end);
+  out.trace = chrome_trace_json(hub.recorder());
   out.hub_trace = chrome_trace_json(hub, run.sim_end);
   out.spans = spans_jsonl(hub.spans(), run.sim_end);
   out.series = timeseries_jsonl(hub);
   out.prometheus = prometheus_text(hub.registry());
   out.manifest = manifest_json(runner.manifest(run, "emulab"), &hub.registry());
+  out.tape_rings = tape_ring_digest(hub.recorder());
   return out;
 }
 
@@ -72,6 +111,25 @@ TEST(ExportDeterminism, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(first.series, second.series);
   EXPECT_EQ(first.prometheus, second.prometheus);
   EXPECT_EQ(first.manifest, second.manifest);
+  EXPECT_EQ(first.tape_rings, second.tape_rings);
+}
+
+// Digests of every exporter's output for the golden run above. The
+// determinism test compares two runs of the same code, so it cannot see a
+// change that alters both alike; these pins can. Lines with "cat":"phase"
+// (an earlier pid-1 drawing of the phases the pid-3 spans carry) are left
+// out of the trace digest and phase_enter payloads out of the ring digest,
+// so the pins hold both for that rendering and for this one.
+TEST(ExportGolden, ExporterOutputsMatchPinnedDigests) {
+  const ExportedRun run = run_and_export();
+  EXPECT_EQ(hex64(fnv1a64(run.metrics)), "0x46c9042d60dceeea");
+  EXPECT_EQ(hex64(fnv1a64(run.prometheus)), "0x7b7a0521ffddf1bf");
+  EXPECT_EQ(hex64(fnv1a64(run.spans)), "0x8ec0030196342653");
+  EXPECT_EQ(hex64(fnv1a64(run.series)), "0x84a406dbf3a9ba51");
+  EXPECT_EQ(hex64(fnv1a64(
+                without_lines_containing(run.hub_trace, "\"cat\":\"phase\""))),
+            "0xf319ec19e1ef0061");
+  EXPECT_EQ(hex64(run.tape_rings), "0x6ffd22b01dbbd7e7");
 }
 
 TEST(ExportDeterminism, BucketEdgesMatchGoldenFile) {
@@ -132,36 +190,50 @@ TEST(PrometheusText, HasHelpTypeAndSampleLines) {
 }
 
 TEST(ChromeTrace, EmitsMetadataSpansAndInstants) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1, "flow 1 demo");
-  tape.enter_phase(sim::Time::microseconds(0), FlowPhase::handshake);
-  tape.enter_phase(sim::Time::microseconds(100), FlowPhase::pacing);
-  tape.record(sim::Time::microseconds(150), TapeEventKind::segment_sent, 5);
+  Hub hub;
+  FlowTap tap = hub.flow_tap(1, "demo");
+  tap.start(sim::Time::microseconds(0), 1000);  // enters the handshake
+  tap.enter_phase(sim::Time::microseconds(100), SpanKind::pacing);
+  tap.sent(sim::Time::microseconds(150), 5, false, false,
+           [] { return std::uint64_t{1448}; });
 
-  const std::string out =
-      chrome_trace_json(recorder, sim::Time::microseconds(400));
+  const std::string out = chrome_trace_json(hub, sim::Time::microseconds(400));
   EXPECT_EQ(out.front(), '{');
   EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\":\"M\""), std::string::npos);  // thread metadata
-  EXPECT_NE(out.find("flow 1 demo"), std::string::npos);
-  // handshake span: [0, 100) us; pacing closed by the end time at 400 us.
-  EXPECT_NE(out.find("\"name\":\"handshake\",\"ts\":0.000,\"dur\":100.000"),
+  EXPECT_NE(out.find("demo flow 1"), std::string::npos);
+  // Phases are pid-3 spans: handshake [0, 100) us, then pacing, still open,
+  // closed by the end time at 400 us.
+  EXPECT_NE(out.find("{\"ph\":\"B\",\"pid\":3,\"tid\":1,\"cat\":\"span\","
+                     "\"name\":\"handshake\",\"ts\":0.000"),
             std::string::npos)
       << out;
-  EXPECT_NE(out.find("\"name\":\"pacing\",\"ts\":100.000,\"dur\":300.000"),
+  EXPECT_NE(out.find("{\"ph\":\"E\",\"pid\":3,\"tid\":1,\"cat\":\"span\","
+                     "\"name\":\"handshake\",\"ts\":100.000}"),
             std::string::npos)
       << out;
+  EXPECT_NE(out.find("{\"ph\":\"E\",\"pid\":3,\"tid\":1,\"cat\":\"span\","
+                     "\"name\":\"pacing\",\"ts\":400.000}"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("\"ph\":\"X\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);  // instant event
   EXPECT_NE(out.find("segment_sent"), std::string::npos);
+  // The phase marks stay on the tape but are not drawn as instants.
+  EXPECT_EQ(out.find("phase_enter"), std::string::npos) << out;
 }
 
 TEST(ChromeTrace, TraceFromEmulabRunHasPacingSpans) {
   // Acceptance shape for the CI smoke check: a real halfback run must
-  // produce per-flow phase spans, including the paced-start phase.
+  // produce per-flow phase spans on pid 3, including the paced start.
   const ExportedRun run = run_and_export();
-  EXPECT_NE(run.trace.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(run.trace.find("\"name\":\"pacing\""), std::string::npos);
-  EXPECT_NE(run.trace.find("\"name\":\"handshake\""), std::string::npos);
+  EXPECT_NE(run.hub_trace.find("{\"ph\":\"B\",\"pid\":3,\"tid\":1,"
+                               "\"cat\":\"span\",\"name\":\"pacing\""),
+            std::string::npos);
+  EXPECT_NE(run.hub_trace.find("{\"ph\":\"B\",\"pid\":3,\"tid\":1,"
+                               "\"cat\":\"span\",\"name\":\"handshake\""),
+            std::string::npos);
+  EXPECT_EQ(run.hub_trace.find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST(ChromeTrace, HubOverloadNestsSpanEventsAndKeepsTapePrefix) {

@@ -1,10 +1,13 @@
 // FlightRecorder / Tape semantics: slab-backed rings, wrap-around keeping
-// the newest events, and the bounded phase-transition list.
+// the newest events, and the phase marks a flow's tap puts on its tape.
 #include "telemetry/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/time.h"
+#include "telemetry/hub.h"
 
 namespace halfback::telemetry {
 namespace {
@@ -61,52 +64,63 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndCountsDropped) {
   }
 }
 
-TEST(FlightRecorder, ConsecutiveDuplicatePhasesCollapse) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  tape.enter_phase(us(0), FlowPhase::handshake);
-  tape.enter_phase(us(5), FlowPhase::pacing);
-  tape.enter_phase(us(9), FlowPhase::pacing);  // duplicate: collapsed
-  ASSERT_EQ(tape.phases().size(), 2u);
-  EXPECT_EQ(tape.phases()[0].phase, FlowPhase::handshake);
-  EXPECT_EQ(tape.phases()[1].phase, FlowPhase::pacing);
-  EXPECT_EQ(tape.phases()[1].start, us(5));
-}
-
-TEST(FlightRecorder, ZeroWidthPhaseIsReplacedNotKept) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  tape.enter_phase(us(0), FlowPhase::handshake);
-  // Generic "transfer" refined to "pacing" at the same instant: the
-  // zero-width transfer span must not survive.
-  tape.enter_phase(us(5), FlowPhase::transfer);
-  tape.enter_phase(us(5), FlowPhase::pacing);
-  ASSERT_EQ(tape.phases().size(), 2u);
-  EXPECT_EQ(tape.phases()[1].phase, FlowPhase::pacing);
-  EXPECT_EQ(tape.phases()[1].start, us(5));
-}
-
-TEST(FlightRecorder, PhaseListIsCappedButRingStillRecords) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  // Alternate phases far past the cap.
-  for (int i = 0; i < 40; ++i) {
-    tape.enter_phase(us(i), i % 2 == 0 ? FlowPhase::pacing : FlowPhase::ropr);
+/// The phase codes a flow's tape holds, oldest first.
+std::vector<std::uint32_t> phase_marks(const Tape& tape) {
+  std::vector<std::uint32_t> marks;
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    if (tape.event(i).kind == TapeEventKind::phase_enter) {
+      marks.push_back(tape.event(i).a);
+    }
   }
-  EXPECT_EQ(tape.phases().size(), 16u);  // kMaxPhaseSpans
-  // Once the span list is full the last stored phase stops advancing, so
-  // every second alternation now collapses as a duplicate: 16 recorded
-  // before the cap, then half of the remaining 24.
-  EXPECT_EQ(tape.size(), 28u);
+  return marks;
+}
+
+std::uint32_t code(SpanKind kind) { return static_cast<std::uint32_t>(kind); }
+
+TEST(FlightRecorder, ConsecutiveDuplicatePhasesCollapse) {
+  Hub hub;
+  FlowTap tap = hub.flow_tap(1, "halfback");
+  tap.start(us(0), 1000);  // enters the handshake
+  tap.enter_phase(us(5), SpanKind::pacing);
+  tap.enter_phase(us(9), SpanKind::pacing);  // duplicate: no second mark
+  const Tape& tape = *hub.recorder().find(TrackKind::flow, 1);
+  EXPECT_EQ(phase_marks(tape), (std::vector<std::uint32_t>{
+                                   code(SpanKind::handshake),
+                                   code(SpanKind::pacing)}));
 }
 
 TEST(FlightRecorder, PhaseEnterMirrorsIntoTheRing) {
-  FlightRecorder recorder;
-  Tape& tape = recorder.tape(TrackKind::flow, 1);
-  tape.enter_phase(us(3), FlowPhase::ropr);
+  Hub hub;
+  FlowTap tap = hub.flow_tap(1, "halfback");
+  tap.enter_phase(us(3), SpanKind::ropr_repair);
+  const Tape& tape = *hub.recorder().find(TrackKind::flow, 1);
   ASSERT_EQ(tape.size(), 1u);
   EXPECT_EQ(tape.event(0).kind, TapeEventKind::phase_enter);
-  EXPECT_EQ(tape.event(0).a, static_cast<std::uint32_t>(FlowPhase::ropr));
+  EXPECT_EQ(tape.event(0).at, us(3));
+  EXPECT_EQ(tape.event(0).a, code(SpanKind::ropr_repair));
+  // The span log holds the phase itself, under no root (start() not run).
+  ASSERT_EQ(hub.spans().size(), 1u);
+  EXPECT_EQ(hub.spans().at(0).kind, SpanKind::ropr_repair);
+  EXPECT_TRUE(hub.spans().at(0).open);
+}
+
+TEST(FlightRecorder, CompletionMarksTheReturnToTheRoot) {
+  Hub hub;
+  FlowTap tap = hub.flow_tap(4, "tcp");
+  tap.start(us(0), 1000);
+  tap.established(us(10), us(10), /*karn_valid=*/true);
+  tap.complete(us(30), us(30));
+  const Tape& tape = *hub.recorder().find(TrackKind::flow, 4);
+  EXPECT_EQ(phase_marks(tape),
+            (std::vector<std::uint32_t>{code(SpanKind::handshake),
+                                        code(SpanKind::blast),
+                                        code(SpanKind::flow)}));
+  // Root, handshake and blast spans, all closed by completion.
+  ASSERT_EQ(hub.spans().size(), 3u);
+  for (std::size_t i = 0; i < hub.spans().size(); ++i) {
+    EXPECT_FALSE(hub.spans().at(i).open) << i;
+  }
+  EXPECT_EQ(hub.spans().at(0).end, us(30));
 }
 
 TEST(FlightRecorder, ManyTapesSpanSlabsWithStableContents) {
@@ -145,9 +159,7 @@ TEST(FlightRecorder, ZeroConfigValuesAreClampedToOne) {
 
 TEST(FlightRecorder, EnumNamesAreStable) {
   // Exporters serialize these strings; renaming breaks trace consumers.
-  EXPECT_STREQ(to_string(FlowPhase::handshake), "handshake");
-  EXPECT_STREQ(to_string(FlowPhase::pacing), "pacing");
-  EXPECT_STREQ(to_string(FlowPhase::ropr), "ropr");
+  EXPECT_STREQ(to_string(TapeEventKind::phase_enter), "phase_enter");
   EXPECT_STREQ(to_string(TapeEventKind::proactive_sent), "proactive_sent");
   EXPECT_STREQ(to_string(TapeEventKind::karn_discard), "karn_discard");
 }
