@@ -10,21 +10,15 @@
 namespace halfback::net {
 
 Link::Link(sim::Simulator& simulator, sim::DataRate rate, sim::Time delay,
-           std::unique_ptr<PacketQueue> queue, LossRate random_loss_rate,
-           PacketPool* pool)
+           std::unique_ptr<PacketQueue> queue, LossRate random_loss_rate)
     : simulator_{simulator},
       rate_{rate},
       delay_{delay},
       queue_{std::move(queue)},
       random_loss_rate_{random_loss_rate},
-      loss_rng_{simulator.random().fork(0x11bbULL)},
-      pool_{pool} {
+      loss_rng_{simulator.random().fork(0x11bbULL)} {
   if (rate_.is_zero()) throw std::invalid_argument{"Link rate must be positive"};
   if (!queue_) throw std::invalid_argument{"Link requires a queue"};
-  if (pool_ == nullptr) {
-    fallback_pool_ = std::make_unique<PacketPool>();
-    pool_ = fallback_pool_.get();
-  }
 }
 
 void Link::send(Packet p) {
@@ -52,27 +46,49 @@ void Link::begin_transmission(Packet p) {
 }
 
 void Link::on_serialization_done() {
-  // Serialization done: launch the packet into the propagation pipe.
-  // Multiple packets can be in flight in the pipe simultaneously, so each
-  // launch takes a pooled node; the single tx_done_ event is free to be
-  // re-armed for the next packet in on_transmission_complete().
+  // Serialization done: launch the packet into the propagation pipe; the
+  // single tx_done_ event is free to be re-armed for the next packet in
+  // on_transmission_complete().
   const bool corrupted = !random_loss_rate_.is_zero() &&
                          loss_rng_.bernoulli(random_loss_rate_.value());
   if (corrupted) {
     ++stats_.corrupted_packets;
     HALFBACK_AUDIT_HOOK(simulator_.auditor(), on_link_corrupted(*this, tx_packet_));
   } else if (fault_hook_ == nullptr) {
-    launch(std::move(tx_packet_), delay_);
+    launch(tx_packet_, delay_);
   } else {
     apply_faults();
   }
   on_transmission_complete();
 }
 
-void Link::launch(Packet p, sim::Time pipe_delay) {
-  PacketEvent& node = pool_->acquire(&Link::deliver_trampoline, this);
-  node.packet = std::move(p);
-  simulator_.schedule_event(pipe_delay, node);
+void Link::launch(const Packet& p, sim::Time pipe_delay) {
+  const sim::Time at = simulator_.now() + pipe_delay;
+  const std::uint64_t seq = simulator_.reserve_event_seq(at);
+  // The fresh seq is the largest yet, so the packet goes after every entry
+  // landing no later than it. A fault-free pipe has a constant delay and
+  // always appends; an extra fault delay on an earlier packet makes a later
+  // one overtake it here.
+  std::size_t pos = pipe_.size();
+  while (pos > 0 && pipe_[pos - 1].at > at) --pos;
+  // lint: hot-ok(ring grows only at a new in-flight high-water mark)
+  InFlight& entry = pipe_.insert(pos);
+  entry.at = at;
+  entry.seq = seq;
+  entry.packet = p;
+  if (pos == 0) simulator_.schedule_reserved(arrival_, at, seq);
+}
+
+void Link::on_arrival() {
+  Packet p = std::move(pipe_.front().packet);
+  pipe_.pop_front();
+  // Re-arm before delivering: from inside fire() the first schedule drops
+  // into the dispatch hole, and delivery's own schedules then sift as usual.
+  if (!pipe_.empty()) {
+    const InFlight& next = pipe_.front();
+    simulator_.schedule_reserved(arrival_, next.at, next.seq);
+  }
+  deliver(std::move(p));
 }
 
 void Link::apply_faults() {
@@ -103,22 +119,17 @@ void Link::apply_faults() {
     record_fault(telemetry::FaultKind::delay);
   }
   const sim::Time pipe = delay_ + decision.extra_delay;
-  if (decision.duplicates == 0) {
-    launch(std::move(tx_packet_), pipe);
-    return;
-  }
   // Launch the original first so that with zero spacing the copies still
   // trail it in same-timestamp FIFO order.
-  Packet original = tx_packet_;
-  launch(std::move(tx_packet_), pipe);
+  launch(tx_packet_, pipe);
   sim::Time copy_at = pipe;
   for (std::uint32_t i = 0; i < decision.duplicates; ++i) {
     ++stats_.fault_duplicated_packets;
     HALFBACK_AUDIT_HOOK(simulator_.auditor(),
-                        on_link_fault_duplicated(*this, original));
+                        on_link_fault_duplicated(*this, tx_packet_));
     record_fault(telemetry::FaultKind::duplicate);
     copy_at += decision.duplicate_spacing;
-    launch(original, copy_at);
+    launch(tx_packet_, copy_at);
   }
 }
 
@@ -126,13 +137,7 @@ void Link::record_fault(telemetry::FaultKind kind) {
   if (tap_ != nullptr) tap_->fault(simulator_.now(), kind, tx_packet_.uid);
 }
 
-void Link::deliver_trampoline(void* context, PacketEvent& node) {
-  static_cast<Link*>(context)->deliver(node);
-}
-
-void Link::deliver(PacketEvent& node) {
-  Packet p = std::move(node.packet);
-  pool_->release(node);
+void Link::deliver(Packet&& p) {
   ++stats_.delivered_packets;
   stats_.delivered_bytes += p.size_bytes;
   if (tap_ != nullptr) tap_->delivered(simulator_.now(), p.size_bytes);

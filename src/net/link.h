@@ -11,12 +11,12 @@
 #include "net/fault_hook.h"
 #include "net/node.h"
 #include "net/packet.h"
-#include "net/packet_pool.h"
 #include "net/queue.h"
 #include "sim/annotations.h"
 #include "sim/bytes.h"
 #include "sim/data_rate.h"
 #include "sim/event_queue.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "telemetry/flight_recorder.h"
 
@@ -69,20 +69,20 @@ struct LinkStats {
 /// queue for contention, and (optionally, for wireless access profiles) a
 /// random per-packet error rate applied after serialization.
 ///
-/// Event model: the transmitter serializes one packet at a time, so the
-/// serialization-done event is a single reusable intrusive event embedded
-/// in the link (`tx_done_`) and the in-service packet parks in
-/// `tx_packet_`. The propagation pipe holds many packets at once, so each
-/// launch draws a PacketEvent from the packet pool and returns it on
-/// delivery. Steady-state forwarding therefore allocates nothing per hop.
+/// Event model: a link keeps at most two events pending, however many
+/// packets it carries. The transmitter serializes one packet at a time, so
+/// the serialization-done event is a single reusable intrusive event
+/// embedded in the link (`tx_done_`) and the in-service packet parks in
+/// `tx_packet_`. The propagation pipe is a ring of in-flight packets in
+/// arrival order, each stamped at launch with its arrival time and the
+/// FIFO sequence number a per-packet event scheduled then would have
+/// drawn; one embedded arrival event (`arrival_`) is armed on the head
+/// with exactly that (time, seq), so packets land in the same global order
+/// as if each had its own event. Steady-state forwarding allocates nothing.
 class Link {
  public:
-  /// `pool` is the recycling pool for in-flight packets, normally the
-  /// owning Network's. Links built bare (tests, micro-benchmarks) may pass
-  /// nullptr to get a private fallback pool.
   Link(sim::Simulator& simulator, sim::DataRate rate, sim::Time delay,
-       std::unique_ptr<PacketQueue> queue, LossRate random_loss_rate = {},
-       PacketPool* pool = nullptr);
+       std::unique_ptr<PacketQueue> queue, LossRate random_loss_rate = {});
 
   /// Where delivered packets go (the far-end node): a direct call into
   /// Node::handle with no type erasure on the per-packet hop.
@@ -124,8 +124,8 @@ class Link {
   const PacketQueue& queue() const { return *queue_; }
   const LinkStats& stats() const { return stats_; }
 
-  /// The pool this link draws in-flight packet nodes from.
-  PacketPool& packet_pool() { return *pool_; }
+  /// Packets in the propagation pipe (launched, not yet delivered).
+  std::size_t in_flight() const { return pipe_.size(); }
 
   /// Fraction of [0, now] this link spent serializing packets.
   double utilization(sim::Time now) const {
@@ -153,20 +153,40 @@ class Link {
     Link& link_;
   };
 
+  /// Arrival event; one per link, armed on the pipe's head packet. The
+  /// name keeps "PacketEvent" for dispatch profiles that bucket by it.
+  class PacketEvent final : public sim::Event {
+   public:
+    explicit PacketEvent(Link& link) : link_{link} {}
+
+   private:
+    // lint: fire-may-throw(delivery runs transport logic whose invariant checks throw; exceptions must reach run()'s caller)
+    void fire() override { link_.on_arrival(); }
+    Link& link_;
+  };
+
+  /// A packet in the propagation pipe, with the (time, seq) it lands at.
+  struct InFlight {
+    sim::Time at;
+    std::uint64_t seq = 0;
+    Packet packet;
+  };
+
   void begin_transmission(Packet p);
   void on_serialization_done();
   void on_transmission_complete();
 
   /// Launch a packet into the propagation pipe, arriving after
   /// `pipe_delay` (>= delay_; fault hooks may stretch it).
-  void launch(Packet p, sim::Time pipe_delay);
+  void launch(const Packet& p, sim::Time pipe_delay) HB_EFFECTS(alloc);
+  /// Land the pipe's head packet and re-arm on the next one.
+  void on_arrival() HB_EFFECTS(alloc, throw);
   /// Out-of-line slow path: consult fault_hook_ and act on its decision.
   void apply_faults();
   /// Report a fault hit on tx_packet_ to the tap (no-op without one).
   void record_fault(telemetry::FaultKind kind);
 
-  static void deliver_trampoline(void* context, PacketEvent& node);
-  void deliver(PacketEvent& node);
+  void deliver(Packet&& p);
 
   sim::Simulator& simulator_;
   std::uint32_t id_ = kNoLinkId;
@@ -182,10 +202,11 @@ class Link {
   bool transmitting_ = false;
   LinkStats stats_;
 
-  std::unique_ptr<PacketPool> fallback_pool_;  ///< only for bare links
-  PacketPool* pool_;
   TxDoneEvent tx_done_{*this};
   Packet tx_packet_;  ///< the packet currently serializing; valid while transmitting_
+  /// In-flight packets ordered by (at, seq); the head's is the earliest.
+  sim::Ring<InFlight> pipe_;
+  PacketEvent arrival_{*this};  ///< armed on pipe_.front() while non-empty
 };
 
 }  // namespace halfback::net

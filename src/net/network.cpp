@@ -36,8 +36,7 @@ Link* Network::make_link(NodeId from, NodeId to, const LinkConfig& config) {
       break;
   }
   auto link = std::make_unique<Link>(simulator_, config.rate, config.delay,
-                                     std::move(queue), config.random_loss_rate,
-                                     &pool_);
+                                     std::move(queue), config.random_loss_rate);
   Link* raw = link.get();
   raw->assign_id(static_cast<std::uint32_t>(links_.size()));
   raw->set_receiver_node(*nodes_.at(to));

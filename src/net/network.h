@@ -7,7 +7,6 @@
 
 #include "net/link.h"
 #include "net/node.h"
-#include "net/packet_pool.h"
 #include "net/queue.h"
 #include "sim/annotations.h"
 #include "sim/data_rate.h"
@@ -63,10 +62,6 @@ class Network {
   /// All links, for statistics sweeps.
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 
-  /// The per-simulation recycling pool all of this network's links draw
-  /// in-flight packet nodes from (diagnostics / allocation assertions).
-  const PacketPool& packet_pool() const { return pool_; }
-
   /// Total packets dropped by all queues in the network.
   std::uint64_t total_queue_drops() const;
 
@@ -81,9 +76,6 @@ class Network {
   Link* make_link(NodeId from, NodeId to, const LinkConfig& config);
 
   sim::Simulator& simulator_;
-  // Declared before links_ so it outlives them: queued PacketEvents cancel
-  // themselves out of the event queue when the pool's slab destructs.
-  PacketPool pool_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   struct Edge {

@@ -37,7 +37,7 @@ bool DropTailQueue::enqueue(Packet p, sim::Time now) {
     return false;
   }
   bytes_ += p.size_bytes;
-  // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
+  // lint: hot-ok(ring grows only at a new backlog high-water mark)
   packets_.push_back(std::move(p));
   record_enqueue(packets_.back(), now, packets_.size());
   return true;
@@ -59,7 +59,7 @@ bool PriorityQueue::enqueue(Packet p, sim::Time now) {
     return false;
   }
   bytes_[band] += p.size_bytes;
-  // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
+  // lint: hot-ok(ring grows only at a new backlog high-water mark)
   bands_[band].push_back(std::move(p));
   record_enqueue(bands_[band].back(), now,
                  bands_[0].size() + bands_[1].size());
@@ -84,7 +84,7 @@ bool CoDelQueue::enqueue(Packet p, sim::Time now) {
     return false;
   }
   bytes_ += p.size_bytes;
-  // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
+  // lint: hot-ok(ring grows only at a new backlog high-water mark)
   packets_.push_back(Entry{now, std::move(p)});
   record_enqueue(packets_.back().packet, now, packets_.size());
   return true;
@@ -163,7 +163,7 @@ bool RedQueue::enqueue(Packet p, sim::Time now) {
     return false;
   }
   bytes_ += p.size_bytes;
-  // lint: hot-ok(queue owns packet storage; deque growth is amortized and capacity-bounded)
+  // lint: hot-ok(ring grows only at a new backlog high-water mark)
   packets_.push_back(std::move(p));
   record_enqueue(packets_.back(), now, packets_.size());
   return true;

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -13,6 +12,7 @@
 #include "sim/annotations.h"
 #include "sim/bytes.h"
 #include "sim/random.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace halfback::telemetry {
@@ -127,7 +127,7 @@ class DropTailQueue final : public PacketQueue {
  private:
   sim::Bytes capacity_bytes_;
   std::uint64_t bytes_ = 0;
-  std::deque<Packet> packets_;
+  sim::Ring<Packet> packets_;
 };
 
 /// CoDel [Nichols & Jacobson], the modern AQM the paper's §6 cites: drops
@@ -163,7 +163,7 @@ class CoDelQueue final : public PacketQueue {
 
   Config config_;
   std::uint64_t bytes_ = 0;
-  std::deque<Entry> packets_;
+  sim::Ring<Entry> packets_;
   bool dropping_ = false;
   sim::Time first_above_time_;   ///< zero = sojourn not persistently above
   sim::Time drop_next_;
@@ -197,7 +197,7 @@ class PriorityQueue final : public PacketQueue {
  private:
   sim::Bytes band_capacity_bytes_;
   std::uint64_t bytes_[2] = {0, 0};
-  std::deque<Packet> bands_[2];
+  sim::Ring<Packet> bands_[2];
 };
 
 /// Random Early Detection (gentle RED), provided as the AQM point of
@@ -229,7 +229,7 @@ class RedQueue final : public PacketQueue {
   sim::Random rng_;
   std::uint64_t bytes_ = 0;
   double avg_bytes_ = 0.0;  // lint: unit-ok(RED's EWMA backlog is intrinsically fractional)
-  std::deque<Packet> packets_;
+  sim::Ring<Packet> packets_;
 };
 
 }  // namespace halfback::net

@@ -89,17 +89,43 @@ void EventQueue::sift_down(std::size_t i) {
   place(i, s);
 }
 
-Event* EventQueue::pop_root() {
-  Event* root = heap_.front().event;
-  root->heap_index_ = Event::kNotQueued;
-  root->queue_ = nullptr;
+const EventQueue::HeapSlot& EventQueue::top() const {
+  if (!hole_) return heap_.front();
+  const std::size_t last = std::min<std::size_t>(kArity + 1, heap_.size());
+  std::size_t best = 1;
+  for (std::size_t c = 2; c < last; ++c) {
+    if (earlier(heap_[c], heap_[best])) best = c;
+  }
+  return heap_[best];
+}
+
+void EventQueue::fill_hole_with(const HeapSlot& s) {
+  hole_ = false;
+  heap_.front() = s;
+  sift_down(0);
+}
+
+void EventQueue::fill_hole() {
+  if (!hole_) return;
   const HeapSlot last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) {
-    place(0, last);
-    sift_down(0);
+  if (heap_.empty()) {
+    hole_ = false;  // the hole was the only slot
+  } else {
+    fill_hole_with(last);
   }
-  return root;
+}
+
+void EventQueue::insert(const HeapSlot& s) {
+  s.event->queue_ = this;
+  if (hole_) {
+    fill_hole_with(s);
+    return;
+  }
+  // lint: hot-ok(amortized heap growth; steady state reuses capacity)
+  heap_.push_back(s);
+  s.event->heap_index_ = heap_.size() - 1;
+  sift_up(s.event->heap_index_);
 }
 
 // --- intrusive API -----------------------------------------------------------
@@ -111,11 +137,7 @@ void EventQueue::schedule_event(Event& event, Time at) {
   }
   event.at_ = at;
   event.seq_ = next_seq_++;
-  event.queue_ = this;
-  // lint: hot-ok(amortized heap growth; steady state reuses capacity)
-  heap_.push_back(HeapSlot{at, event.seq_, &event});
-  event.heap_index_ = heap_.size() - 1;
-  sift_up(event.heap_index_);
+  insert(HeapSlot{at, event.seq_, &event});
 }
 
 void EventQueue::reschedule_event(Event& event, Time at) {
@@ -123,11 +145,20 @@ void EventQueue::reschedule_event(Event& event, Time at) {
     schedule_event(event, at);
     return;
   }
+  schedule_reserved(event, at, next_seq_++);
+}
+
+void EventQueue::schedule_reserved(Event& event, Time at, std::uint64_t seq) {
   event.at_ = at;
-  event.seq_ = next_seq_++;
+  event.seq_ = seq;
+  if (!event.queued()) {
+    insert(HeapSlot{at, seq, &event});
+    return;
+  }
+  fill_hole();
   const std::size_t i = event.heap_index_;
   heap_[i].at = at;
-  heap_[i].seq = event.seq_;
+  heap_[i].seq = seq;
   // The new position can be in either direction; one of the sifts is a no-op.
   sift_up(i);
   sift_down(event.heap_index_);
@@ -135,6 +166,7 @@ void EventQueue::reschedule_event(Event& event, Time at) {
 
 void EventQueue::cancel_event(Event& event) {
   if (!event.queued() || event.queue_ != this) return;
+  fill_hole();
   const std::size_t i = event.heap_index_;
   event.heap_index_ = Event::kNotQueued;
   event.queue_ = nullptr;
@@ -178,13 +210,20 @@ EventHandle EventQueue::schedule(Time at, std::function<void()> fn) {
 // --- queue driving -----------------------------------------------------------
 
 Time EventQueue::next_time() const {
-  if (heap_.empty()) throw std::logic_error{"EventQueue::next_time on empty queue"};
-  return heap_.front().at;
+  if (empty()) throw std::logic_error{"EventQueue::next_time on empty queue"};
+  return top().at;
 }
 
 Time EventQueue::run_next() {
+  fill_hole();  // only open here when a fire() drives the queue itself
   if (heap_.empty()) throw std::logic_error{"EventQueue::run_next on empty queue"};
-  Event* event = pop_root();
+  Event* event = heap_.front().event;
+  event->heap_index_ = Event::kNotQueued;
+  event->queue_ = nullptr;
+  // The root's slot stays as a hole that fire()'s first schedule fills; the
+  // guard closes it otherwise, throw included.
+  hole_ = true;
+  const HoleGuard guard{*this};
   const Time at = event->at_;
   HALFBACK_AUDIT_HOOK(auditor_, on_event_run(at, event->seq_));
   // fire() may reschedule the event, or even destroy it (a timer firing its
@@ -194,6 +233,7 @@ Time EventQueue::run_next() {
 }
 
 void EventQueue::clear() {
+  fill_hole();
   for (const HeapSlot& slot : heap_) {
     slot.event->heap_index_ = Event::kNotQueued;
     slot.event->queue_ = nullptr;

@@ -7,6 +7,19 @@
 // timers, pacers, link transmissions) embed an Event subclass — usually via
 // sim::Timer — and reuse it for the lifetime of the component.
 //
+// Dispatch is replace-top: run_next() detaches the root and leaves its slot
+// as a *hole* while fire() runs. Most events schedule exactly one follow-up
+// from fire() (a timer re-arming, a link's next arrival or transmission),
+// and the first such schedule drops straight into the hole with one
+// sift-down instead of a pop's sift-down plus a push's sift-up. Every other
+// operation fills the hole first, and size()/empty() never count it.
+//
+// A component that must hand out its FIFO position before it knows which
+// event will carry it (a link launching a packet into its propagation pipe)
+// reserves a sequence number with reserve_seq() and later schedules with
+// schedule_reserved(); the dispatch order is then exactly what a
+// schedule_event() at reservation time would have produced.
+//
 // A thin `schedule(Time, std::function)` shim remains for tests, examples,
 // and one-shot experiment setup (see docs/architecture.md, "Event & memory
 // model", for when the shim is acceptable). Shim events are drawn from a
@@ -117,6 +130,16 @@ class EventQueue {
   /// Remove `event` if queued; no-op otherwise.
   void cancel_event(Event& event) HB_EFFECTS();
 
+  /// Draw the FIFO sequence number a schedule_event() made now would take,
+  /// for a later schedule_reserved().
+  std::uint64_t reserve_seq() HB_EFFECTS() { return next_seq_++; }
+
+  /// Insert `event` at (`at`, `seq`), or move it there if already queued.
+  /// `seq` must come from reserve_seq() and be used by one pending event at
+  /// a time, so ties still break in reservation order.
+  void schedule_reserved(Event& event, Time at, std::uint64_t seq)
+      HB_EFFECTS(alloc);
+
   // --- std::function shim --------------------------------------------------
 
   /// Schedule `fn` at absolute time `at` on a recycled slab node.
@@ -127,10 +150,10 @@ class EventQueue {
   // --- queue driving -------------------------------------------------------
 
   /// True if no event remains.
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return size() == 0; }
 
-  /// Number of pending events.
-  std::size_t size() const { return heap_.size(); }
+  /// Number of pending events (the dispatch hole is not one).
+  std::size_t size() const { return heap_.size() - (hole_ ? 1 : 0); }
 
   /// Time of the earliest event. Requires !empty().
   Time next_time() const;
@@ -139,19 +162,21 @@ class EventQueue {
   /// peek for the instrumented dispatch loop: the profiler captures the
   /// event's dynamic type here, before run_next() hands the event to a
   /// fire() that may destroy or reschedule it.
-  const Event& peek_next() const HB_EFFECTS() { return *heap_[0].event; }
+  const Event& peek_next() const HB_EFFECTS() { return *top().event; }
 
   /// Pop and run the earliest event; returns its time. Requires !empty().
+  /// The event is detached (not queued) while its fire() runs.
   Time run_next() HB_EFFECTS(alloc, throw, rng);
 
   /// Drop all pending events.
   void clear();
 
-  /// Visit every pending event in heap (unspecified) order. Read-only
-  /// diagnostics walk — the budget machinery uses it for the post-trip
-  /// pending-event census; callers must not schedule or cancel from `fn`.
+  /// Visit every pending event in heap (unspecified) order, skipping the
+  /// dispatch hole. Read-only diagnostics walk — the budget machinery uses
+  /// it for the post-trip pending-event census; callers must not schedule
+  /// or cancel from `fn`.
   void for_each_pending(FunctionRef<void(const Event&)> fn) const {
-    for (const HeapSlot& slot : heap_) fn(*slot.event);
+    for (std::size_t i = hole_ ? 1 : 0; i < heap_.size(); ++i) fn(*heap_[i].event);
   }
 
   /// Number of shim slab nodes ever allocated (diagnostics: steady-state
@@ -195,13 +220,31 @@ class EventQueue {
     s.event->heap_index_ = i;
   }
 
-  /// Detach the heap root (marking it unqueued) and restore heap order.
-  Event* pop_root();
+  /// The earliest pending slot; with a hole at the root, the earliest of
+  /// the root's children (each heads a valid sub-heap).
+  const HeapSlot& top() const;
+
+  /// Put `s` into the hole at the root and restore heap order.
+  void fill_hole_with(const HeapSlot& s);
+  /// Close the hole with the heap's last slot (if the hole is open).
+  void fill_hole();
+  /// Insert a slot whose event is not queued: into the hole when one is
+  /// open, else at the bottom.
+  void insert(const HeapSlot& s);
+
+  /// Closes the hole when fire() returns or throws without scheduling.
+  struct HoleGuard {
+    EventQueue& queue;
+    ~HoleGuard() { queue.fill_hole(); }
+  };
 
   FunctionEvent* acquire_shim();
   void release_shim(FunctionEvent* node);
 
   std::vector<HeapSlot> heap_;
+  /// True while heap_[0] is the dispatched event's vacated slot (only
+  /// inside run_next(), around fire()).
+  bool hole_ = false;
   std::uint64_t next_seq_ = 0;
 
   // Shim slab: every FunctionEvent ever created lives here; free nodes are

@@ -86,6 +86,22 @@ class Simulator {
   /// Remove an intrusive event if queued; no-op otherwise.
   void cancel_event(Event& event) HB_EFFECTS() { queue_.cancel_event(event); }
 
+  /// Take the FIFO position a schedule_event_at(at, ...) made now would
+  /// take, without scheduling anything yet: the returned sequence number
+  /// goes to a later schedule_reserved(). Audited as that schedule.
+  std::uint64_t reserve_event_seq([[maybe_unused]] Time at) HB_EFFECTS() {
+    HALFBACK_AUDIT_HOOK(auditor_, on_event_scheduled(now_, at));
+    return queue_.reserve_seq();
+  }
+
+  /// Insert (or move) an intrusive event at `at` with a sequence number
+  /// from reserve_event_seq(), so it dispatches exactly where the reserved
+  /// schedule would have.
+  void schedule_reserved(Event& event, Time at, std::uint64_t seq)
+      HB_EFFECTS(alloc) {
+    queue_.schedule_reserved(event, at, seq);
+  }
+
   /// Run until the event queue drains or stop() is called. The clock
   /// stays at the last event run.
   void run() HB_EFFECTS(alloc, throw, rng);

@@ -18,10 +18,6 @@ SenderBase& TransportAgent::start_flow(std::unique_ptr<SenderBase> sender,
       SenderBase::CompletionRef::from<&TransportAgent::on_sender_complete>(
           *this));
   senders_[flow] = FlowSlot{std::move(sender), on_complete};
-  // Pre-size the dedup set for the ACK-per-segment this flow will deliver
-  // (plus headroom for retransmissions): growth rehashes showed up as a
-  // measurable slice of per-packet cost in steady state.
-  seen_uids_.reserve(seen_uids_.size() + 2 * ref.record().total_segments);
   if (telemetry_ != nullptr) ref.set_telemetry(telemetry_);
   ref.start();
   return ref;
@@ -84,9 +80,6 @@ void TransportAgent::on_packet(net::Packet packet) {
     case net::PacketType::syn: {
       auto it = receivers_.find(packet.flow);
       if (it == receivers_.end()) {
-        // The SYN announces the flow length; pre-size the dedup set for the
-        // data packets about to arrive (see start_flow).
-        seen_uids_.reserve(seen_uids_.size() + 2 * packet.total_segments);
         auto receiver = std::make_unique<Receiver>(simulator_, node_, packet.src,
                                                    packet.flow, receiver_config_);
         receiver->set_completion_callback(

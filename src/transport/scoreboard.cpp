@@ -20,7 +20,7 @@ SegmentState& Scoreboard::ensure_state(std::uint32_t seq) {
   if (seq < window_base_) {
     throw std::logic_error{"ensure_state below the acknowledged window"};
   }
-  while (window_base_ + window_.size() <= seq) window_.emplace_back();
+  while (window_base_ + window_.size() <= seq) window_.push_back(SegmentState{});
   return window_[seq - window_base_];
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <optional>
 #include <span>
@@ -10,6 +9,7 @@
 
 #include "net/packet.h"
 #include "sim/annotations.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace halfback::transport {
@@ -165,7 +165,7 @@ class Scoreboard {
   std::uint32_t cum_ack_ = 0;
   std::uint32_t next_sent_ = 0;     ///< next never-sent index
   std::uint32_t window_base_ = 0;   ///< seq of window_[0]
-  std::deque<SegmentState> window_;
+  sim::Ring<SegmentState> window_;
 
   // Incremental aggregates over window_ (see account()).
   int pipe_ = 0;             ///< segments matching the pipe() predicate

@@ -1,15 +1,16 @@
-// Deterministic work-count gate for the invariant auditor: in a bulk TCP
-// transfer, the allocations the auditor adds during the steady state must
-// be a small constant (amortised doublings of its tables), not one per
-// delivered packet. The count comes from a replaced global operator new,
-// so it is exact and independent of host speed. Its own binary, because
-// the replacement covers the whole program.
+// Deterministic work-count gate for steady-state allocation: in a bulk TCP
+// transfer, neither the simulation nor the invariant auditor may allocate
+// per delivered packet. Queues, link pipes and the scoreboard window are
+// rings that grow only at a new high-water mark, and the uid sets take one
+// 64-byte page per 512 uids, so the second half of a run allocates a small
+// constant (amortised doublings), however many packets it moves. The
+// count comes from a replaced global operator new, so it is exact and
+// independent of host speed. Its own binary, because the replacement
+// covers the whole program.
 //
-// The same run is made with and without the auditor, and the gate is on
-// the difference: the simulation itself churns std::deque blocks in the
-// queues and the scoreboard (a few hundred allocations per thousand
-// packets), and that is not the auditor's cost. The two runs must deliver
-// the same packets, since observing a run never changes it.
+// The same run is made with and without the auditor: the plain run is
+// gated on its own count, and the auditor on the difference. The two runs
+// must deliver the same packets, since observing a run never changes it.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -67,6 +68,15 @@ HalfCounts bulk_run(sim::Time half, bool audited) {
     counts.audit_ok = auditor.ok();
   }
   return counts;
+}
+
+TEST(AuditAllocationGate, SteadyStateSimulationAllocationsDoNotScaleWithPackets) {
+  const HalfCounts plain = bulk_run(5_s, /*audited=*/false);
+  ASSERT_GT(plain.second_half_delivered, 5'000u);
+  EXPECT_LE(plain.second_half_allocations, 16u)
+      << "the simulation allocated " << plain.second_half_allocations
+      << " times while " << plain.second_half_delivered
+      << " packets crossed the bottleneck";
 }
 
 TEST(AuditAllocationGate, SteadyStateAuditAllocationsDoNotScaleWithPackets) {
