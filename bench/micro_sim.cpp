@@ -356,6 +356,18 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
 }
 
+/// Finish a JSON writer opened by the modes below: close a file, flush
+/// stdout. False, with a message, when any write or the close failed, so a
+/// truncated BENCH_*.json never exits 0.
+bool finish_json(std::FILE* out, const char* path) {
+  const bool write_failed = std::ferror(out) != 0;
+  const bool close_failed =
+      out == stdout ? std::fflush(out) != 0 : std::fclose(out) != 0;
+  if (!write_failed && !close_failed) return true;
+  std::fprintf(stderr, "micro_sim: failed writing %s\n", path);
+  return false;
+}
+
 int run_json_mode(const char* path) {
   const double events = measure_events_per_sec(/*reps=*/5);
   const double packets = measure_packets_per_sec(/*reps=*/5);
@@ -396,8 +408,9 @@ int run_json_mode(const char* path) {
                "  \"peak_rss_bytes\": %llu\n"
                "}\n",
                static_cast<unsigned long long>(rss));
-  if (out != stdout) {
-    std::fclose(out);
+  const bool to_file = out != stdout;
+  if (!finish_json(out, path)) return 1;
+  if (to_file) {
     std::printf(
         "events_per_sec=%.0f packets_per_sec=%.0f "
         "transport_packets_per_sec=%.0f peak_rss_bytes=%llu\n",
@@ -473,8 +486,9 @@ int run_telemetry_json_mode(const char* path) {
                "}\n",
                disabled, enabled, full, overhead, overhead_full,
                pass ? "true" : "false");
-  if (out != stdout) {
-    std::fclose(out);
+  const bool to_file = out != stdout;
+  if (!finish_json(out, path)) return 1;
+  if (to_file) {
     std::printf(
         "telemetry overhead: disabled=%.0f enabled=%.0f full=%.0f events/s "
         "(%.2f%% / %.2f%% with profiler) %s\n",

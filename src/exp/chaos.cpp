@@ -123,8 +123,6 @@ RunResult run_cell(const ChaosSweepConfig& config, const ChaosScenario& scenario
   return result;
 }
 
-/// Write one cell's telemetry triple next to each other in `dir`. The hub
-/// is per-cell (cells run on sweep threads), so no synchronization needed.
 /// Write one export file through `write`; a file that cannot be opened or
 /// written throws, which the supervisor records against the cell.
 template <typename Write>

@@ -1,7 +1,7 @@
 // Deliberately broken fixture: proves the `lint` entrypoint actually goes
-// red. CI runs `halfback-lint --as src/fixture/broken.cpp` over this file
-// and asserts a nonzero exit; tests/lint/lint_test.cpp pins the findings at
-// exactly 3 (uninitialized-pod-member, naked-new-delete, nondeterminism).
+// red. CI runs `halfback-lint --root` over this fixture tree and asserts
+// exit 1; tests/lint/lint_test.cpp pins the findings at exactly 3
+// (uninitialized-pod-member, naked-new-delete, nondeterminism).
 #include <cstdlib>
 
 namespace fixture {

@@ -1,7 +1,7 @@
 // Fixture: static-storage instance caches the escape analysis must refuse.
-// Both declarations are `const`, so shard_safety's mutable-global inventory
-// ignores them — but a const pointer aliases a live Simulator just fine,
-// which is exactly the gap sim_escape closes.
+// Both declarations are `const`, so the mutable-static route ignores them
+// — but a const pointer aliases a live Simulator just fine, which is what
+// the static-instance-cache route catches.
 #pragma once
 namespace halfback::net {
 

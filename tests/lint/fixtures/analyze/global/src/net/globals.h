@@ -1,6 +1,6 @@
-// Fixture: hidden mutable static-storage state — exactly what shard_safety
-// inventories (a namespace-scope variable and a singleton-style local
-// static).
+// Fixture: hidden mutable static-storage state — what sim_escape's
+// mutable-static route inventories (a namespace-scope variable and a
+// singleton-style local static).
 #pragma once
 namespace halfback::net {
 

@@ -1,9 +1,8 @@
-// Pins halfback-lint's behaviour: each fixture under tests/lint/fixtures/
+// Pins halfback-lint's per-file rules: each fixture under tests/lint/fixtures/
 // carries a known number of violations per rule, the clean fixture carries
-// none, and — the teeth — the live src/ tree lints clean against the empty
-// checked-in baseline. The fixtures lint files on disk through the same
-// `--as` logical-path mechanism the CLI exposes, so these tests cover the
-// exact code path CI runs.
+// none, and — the teeth — the live tree lints clean. Each fixture file is
+// modeled on its own under a logical path (the path rules scope on) and runs
+// through lint_model(), the sweep the CLI runs.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -15,9 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline.h"
+#include "model.h"
 #include "rules.h"
-#include "runner.h"
 #include "source_file.h"
 
 namespace lint = halfback::lint;
@@ -36,14 +34,18 @@ std::string slurp(const std::filesystem::path& path) {
 }
 
 /// Load a fixture from disk, posing as `logical_path` (the path rules scope
-/// on), exactly like `halfback-lint --as`.
+/// on).
 lint::SourceFile fixture(const std::string& name, std::string logical_path) {
   return {std::move(logical_path), slurp(fixture_dir() / name)};
 }
 
-std::vector<lint::Finding> run_rule(const lint::SourceFile& file,
+/// Model `file` on its own and run `rule` over it (every rule when empty).
+std::vector<lint::Finding> run_rule(lint::SourceFile file,
                                     std::string_view rule) {
-  return lint::lint_file(file, rule);
+  lint::ProjectModel model;
+  model.add_file(std::move(file));
+  model.finalize();
+  return lint::lint_model(model, {}, rule);
 }
 
 std::string describe(const std::vector<lint::Finding>& findings) {
@@ -56,68 +58,74 @@ std::string describe(const std::vector<lint::Finding>& findings) {
 }
 
 TEST(NondeterminismRule, FixtureHasExactlySixFindings) {
-  const auto file = fixture("nondet.cpp", "src/fixture/nondet.cpp");
-  const auto findings = run_rule(file, "nondeterminism");
+  const auto findings =
+      run_rule(fixture("nondet.cpp", "src/fixture/nondet.cpp"),
+               "nondeterminism");
   EXPECT_EQ(findings.size(), 6u) << describe(findings);
 }
 
 TEST(NondeterminismRule, IgnoresFilesOutsideSrc) {
-  const auto file = fixture("nondet.cpp", "tools/fixture/nondet.cpp");
-  EXPECT_TRUE(run_rule(file, "nondeterminism").empty());
+  EXPECT_TRUE(run_rule(fixture("nondet.cpp", "tools/fixture/nondet.cpp"),
+                       "nondeterminism")
+                  .empty());
 }
 
 TEST(NondeterminismRule, AccessorDeclarationIsNotACall) {
   // The regression that motivated the declaration heuristic: an accessor
   // named like a banned function (sim::Simulator::random()).
-  const lint::SourceFile file{"src/fixture/accessor.h",
-                              "#pragma once\n"
-                              "struct S {\n"
-                              "  Random& random() { return rng_; }\n"
-                              "  double time() const;\n"
-                              "};\n"};
-  EXPECT_TRUE(run_rule(file, "nondeterminism").empty());
+  lint::SourceFile file{"src/fixture/accessor.h",
+                        "#pragma once\n"
+                        "struct S {\n"
+                        "  Random& random() { return rng_; }\n"
+                        "  double time() const;\n"
+                        "};\n"};
+  EXPECT_TRUE(run_rule(std::move(file), "nondeterminism").empty());
 }
 
 TEST(NondeterminismRule, StatementKeywordBeforeNameIsACall) {
-  const lint::SourceFile file{"src/fixture/call.cpp",
-                              "long f() { return time(nullptr); }\n"};
-  EXPECT_EQ(run_rule(file, "nondeterminism").size(), 1u);
+  lint::SourceFile file{"src/fixture/call.cpp",
+                        "long f() { return time(nullptr); }\n"};
+  EXPECT_EQ(run_rule(std::move(file), "nondeterminism").size(), 1u);
 }
 
 TEST(NondeterminismRule, SameLineSuppressionSilencesTheFinding) {
-  const lint::SourceFile file{
+  lint::SourceFile file{
       "src/fixture/sup.cpp",
       "long f() { return rand(); }  // lint: nondet-ok(test)\n"};
-  EXPECT_TRUE(run_rule(file, "nondeterminism").empty());
+  EXPECT_TRUE(run_rule(std::move(file), "nondeterminism").empty());
 }
 
 TEST(UnorderedIterationRule, FixtureHasExactlyTwoFindings) {
-  const auto file = fixture("unordered.cpp", "src/exp/fixture_unordered.cpp");
-  const auto findings = run_rule(file, "unordered-iteration");
+  const auto findings =
+      run_rule(fixture("unordered.cpp", "src/exp/fixture_unordered.cpp"),
+               "unordered-iteration");
   EXPECT_EQ(findings.size(), 2u) << describe(findings);
 }
 
 TEST(UnorderedIterationRule, OnlyWatchesTraceHashedDirs) {
   // The same iteration is legal in, say, src/net/ — order there never
   // reaches a trace or a results table.
-  const auto file = fixture("unordered.cpp", "src/net/fixture_unordered.cpp");
-  EXPECT_TRUE(run_rule(file, "unordered-iteration").empty());
+  EXPECT_TRUE(
+      run_rule(fixture("unordered.cpp", "src/net/fixture_unordered.cpp"),
+               "unordered-iteration")
+          .empty());
 }
 
 TEST(RawUnitTypeRule, FixtureHasExactlyThreeFindings) {
-  const auto file = fixture("units.h", "src/fixture/units.h");
-  const auto findings = run_rule(file, "raw-unit-type");
+  const auto findings =
+      run_rule(fixture("units.h", "src/fixture/units.h"), "raw-unit-type");
   EXPECT_EQ(findings.size(), 3u) << describe(findings);
 }
 
 TEST(RawUnitTypeRule, OnlyWatchesHeaders) {
-  const auto file = fixture("units.h", "src/fixture/units.cpp");
-  EXPECT_TRUE(run_rule(file, "raw-unit-type").empty());
+  EXPECT_TRUE(run_rule(fixture("units.h", "src/fixture/units.cpp"),
+                       "raw-unit-type")
+                  .empty());
 }
 
 TEST(RawUnitTypeRule, SuggestsTheMatchingStrongType) {
-  const auto file = fixture("units.h", "src/fixture/units.h");
-  const auto findings = run_rule(file, "raw-unit-type");
+  const auto findings =
+      run_rule(fixture("units.h", "src/fixture/units.h"), "raw-unit-type");
   ASSERT_EQ(findings.size(), 3u);
   EXPECT_NE(findings[0].message.find("sim::Time"), std::string::npos)
       << findings[0].message;  // rtt_ms
@@ -128,14 +136,16 @@ TEST(RawUnitTypeRule, SuggestsTheMatchingStrongType) {
 }
 
 TEST(NakedNewDeleteRule, FixtureHasExactlyTwoFindings) {
-  const auto file = fixture("alloc.cpp", "src/fixture/alloc.cpp");
-  const auto findings = run_rule(file, "naked-new-delete");
+  const auto findings =
+      run_rule(fixture("alloc.cpp", "src/fixture/alloc.cpp"),
+               "naked-new-delete");
   EXPECT_EQ(findings.size(), 2u) << describe(findings);
 }
 
 TEST(UninitializedPodMemberRule, FixtureHasExactlyFourFindings) {
-  const auto file = fixture("pod.h", "src/fixture/pod.h");
-  const auto findings = run_rule(file, "uninitialized-pod-member");
+  const auto findings =
+      run_rule(fixture("pod.h", "src/fixture/pod.h"),
+               "uninitialized-pod-member");
   EXPECT_EQ(findings.size(), 4u) << describe(findings);
   // The pointer member gets the sharper message.
   EXPECT_NE(findings[3].message.find("wild pointer"), std::string::npos)
@@ -143,20 +153,23 @@ TEST(UninitializedPodMemberRule, FixtureHasExactlyFourFindings) {
 }
 
 TEST(PragmaOnceRule, FlagsGuardlessHeader) {
-  const auto file = fixture("no_pragma.h", "src/fixture/no_pragma.h");
-  const auto findings = run_rule(file, "pragma-once");
+  const auto findings =
+      run_rule(fixture("no_pragma.h", "src/fixture/no_pragma.h"),
+               "pragma-once");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].line, 1);
 }
 
 TEST(PragmaOnceRule, IgnoresSourceFiles) {
-  const auto file = fixture("alloc.cpp", "src/fixture/alloc.cpp");
-  EXPECT_TRUE(run_rule(file, "pragma-once").empty());
+  EXPECT_TRUE(run_rule(fixture("alloc.cpp", "src/fixture/alloc.cpp"),
+                       "pragma-once")
+                  .empty());
 }
 
 TEST(HotPathFunctionRule, FixtureHasExactlyOneFinding) {
-  const auto file = fixture("hot.cpp", "src/fixture/hot.cpp");
-  const auto findings = run_rule(file, "hot-path-std-function");
+  const auto findings =
+      run_rule(fixture("hot.cpp", "src/fixture/hot.cpp"),
+               "hot-path-std-function");
   EXPECT_EQ(findings.size(), 1u) << describe(findings);
 }
 
@@ -164,19 +177,20 @@ TEST(HotPathFunctionRule, UnannotatedFilesAreExempt) {
   // Identical content minus the first line (the hot-path annotation).
   std::string text = slurp(fixture_dir() / "hot.cpp");
   text.erase(0, text.find('\n') + 1);
-  const lint::SourceFile file{"src/fixture/cold.cpp", std::move(text)};
-  EXPECT_TRUE(run_rule(file, "hot-path-std-function").empty());
+  lint::SourceFile file{"src/fixture/cold.cpp", std::move(text)};
+  EXPECT_TRUE(run_rule(std::move(file), "hot-path-std-function").empty());
 }
 
 TEST(NoexceptFireRule, FixtureHasExactlyOneFinding) {
-  const auto file = fixture("fire.h", "src/fixture/fire.h");
-  const auto findings = run_rule(file, "noexcept-fire");
+  const auto findings =
+      run_rule(fixture("fire.h", "src/fixture/fire.h"), "noexcept-fire");
   EXPECT_EQ(findings.size(), 1u) << describe(findings);
 }
 
 TEST(StdoutAccountingRule, FixtureHasExactlyFiveFindings) {
-  const auto file = fixture("stdout.cpp", "src/fixture/stdout.cpp");
-  const auto findings = run_rule(file, "stdout-accounting");
+  const auto findings =
+      run_rule(fixture("stdout.cpp", "src/fixture/stdout.cpp"),
+               "stdout-accounting");
   EXPECT_EQ(findings.size(), 5u) << describe(findings);
 }
 
@@ -195,35 +209,34 @@ TEST(StdoutAccountingRule, ReportingLayersAndNonSrcAreExempt) {
 }
 
 TEST(StdoutAccountingRule, StderrAndBufferFormattingAreFine) {
-  const lint::SourceFile file{"src/fixture/ok.cpp",
-                              "void f(double v) {\n"
-                              "  char buf[32];\n"
-                              "  std::snprintf(buf, sizeof buf, \"%g\", v);\n"
-                              "  std::fprintf(stderr, \"warn %g\\n\", v);\n"
-                              "}\n"};
-  EXPECT_TRUE(run_rule(file, "stdout-accounting").empty());
+  lint::SourceFile file{"src/fixture/ok.cpp",
+                        "void f(double v) {\n"
+                        "  char buf[32];\n"
+                        "  std::snprintf(buf, sizeof buf, \"%g\", v);\n"
+                        "  std::fprintf(stderr, \"warn %g\\n\", v);\n"
+                        "}\n"};
+  EXPECT_TRUE(run_rule(std::move(file), "stdout-accounting").empty());
 }
 
 TEST(StdoutAccountingRule, SameLineSuppressionSilencesTheFinding) {
-  const lint::SourceFile file{
+  lint::SourceFile file{
       "src/fixture/sup.cpp",
       "void f() { std::printf(\"x\"); }  // lint: stdout-ok(test)\n"};
-  EXPECT_TRUE(run_rule(file, "stdout-accounting").empty());
+  EXPECT_TRUE(run_rule(std::move(file), "stdout-accounting").empty());
 }
 
 TEST(CleanFixture, ProducesZeroFindingsAcrossAllRules) {
   // Banned names live only in comments, strings, and raw strings here — a
   // tokenizer that leaked them into code tokens would fail this test.
-  const auto file = fixture("clean.h", "src/fixture/clean.h");
-  const auto findings = lint::lint_file(file);
+  const auto findings =
+      run_rule(fixture("clean.h", "src/fixture/clean.h"), {});
   EXPECT_TRUE(findings.empty()) << describe(findings);
 }
 
 TEST(BrokenFixture, TripsExactlyTheThreeExpectedRules) {
-  // CI's red proof runs the CLI over this file and asserts exit 1; this
-  // test pins what it trips on so the proof cannot silently go stale.
-  const auto file = fixture("broken.cpp", "src/fixture/broken.cpp");
-  const auto findings = lint::lint_file(file);
+  // CI's red proof runs the CLI over this fixture tree and asserts exit 1;
+  // this test pins what it trips on so the proof cannot silently go stale.
+  const auto findings = lint::lint_tree(fixture_dir() / "analyze" / "broken");
   std::set<std::string> rules;
   for (const lint::Finding& f : findings) rules.insert(f.rule);
   EXPECT_EQ(findings.size(), 3u) << describe(findings);
@@ -240,104 +253,41 @@ TEST(Registry, EveryRuleHasAStableIdAndDescription) {
     EXPECT_TRUE(ids.insert(rule->id()).second)
         << "duplicate rule id " << rule->id();
   }
-  EXPECT_EQ(ids.size(), 9u);
-}
-
-TEST(BaselineFile, ParsesEntriesAndMatchesFindings) {
-  lint::Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(baseline.parse("# comment\n"
-                             "\n"
-                             "nondeterminism src/exp/trace.cpp:42\n"
-                             "raw-unit-type src/net/link.h:7\n",
-                             error))
-      << error;
-  EXPECT_EQ(baseline.size(), 2u);
-  EXPECT_TRUE(baseline.contains(
-      {"nondeterminism", "src/exp/trace.cpp", 42, "msg ignored"}));
-  EXPECT_FALSE(baseline.contains(
-      {"nondeterminism", "src/exp/trace.cpp", 43, "different line"}));
-}
-
-TEST(BaselineFile, RejectsMalformedLinesLoudly) {
-  // A silently ignored typo would neither suppress nor un-suppress —
-  // malformed lines must be a hard error.
-  lint::Baseline baseline;
-  std::string error;
-  EXPECT_FALSE(baseline.parse("nondeterminism src/exp/trace.cpp\n", error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(BaselineFile, RenderRoundTripsThroughParse) {
-  const std::vector<lint::Finding> findings{
-      {"pragma-once", "src/fixture/no_pragma.h", 1, "missing"},
-      {"naked-new-delete", "src/fixture/alloc.cpp", 11, "naked new"},
-  };
-  lint::Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(baseline.parse(lint::Baseline::render(findings), error)) << error;
-  EXPECT_EQ(baseline.size(), 2u);
-  for (const lint::Finding& f : findings) EXPECT_TRUE(baseline.contains(f));
-}
-
-TEST(CheckedInBaseline, ExistsAndIsEmptyByPolicy) {
-  lint::Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(baseline.parse(slurp(repo_root() / "tools/lint/baseline.txt"),
-                             error))
-      << error;
-  EXPECT_EQ(baseline.size(), 0u)
-      << "policy: fix or justify findings inline, do not grow the baseline";
+  EXPECT_EQ(ids.size(), 14u);
 }
 
 TEST(Tree, DiscoveryIsSortedAndFindsTheCore) {
-  const auto files = lint::discover_files(repo_root());
+  const auto model = lint::ProjectModel::build(repo_root());
+  const auto& files = model.files();
   ASSERT_FALSE(files.empty());
-  EXPECT_TRUE(std::is_sorted(files.begin(), files.end()));
-  const auto has = [&](std::string_view tail) {
-    for (const auto& f : files) {
-      if (f.generic_string().ends_with(tail)) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("src/sim/simulator.h"));
-  EXPECT_TRUE(has("src/net/link.cpp"));
+  EXPECT_TRUE(std::is_sorted(
+      files.begin(), files.end(),
+      [](const lint::SourceFile& a, const lint::SourceFile& b) {
+        return std::filesystem::path{a.path()} <
+               std::filesystem::path{b.path()};
+      }));
+  EXPECT_TRUE(model.file_index("src/sim/simulator.h").has_value());
+  EXPECT_TRUE(model.file_index("src/net/link.cpp").has_value());
+  // The fixtures are deliberately broken inputs: never part of the tree.
+  for (const lint::SourceFile& f : files) {
+    EXPECT_FALSE(f.path().starts_with("tests/lint/fixtures")) << f.path();
+  }
 }
 
 TEST(Tree, SrcLintsCleanAgainstTheEmptyBaseline) {
-  // The sweep's teeth: any regression anywhere under src/ fails here with
-  // the full finding text, mirroring the `lint-halfback` build target.
-  const auto findings = lint::lint_tree(repo_root());
+  // The teeth of the per-file rules: a wall-clock read, a naked new, a
+  // missing #pragma once anywhere under src/ fails here with the full
+  // finding text, mirroring the `lint-halfback` build target. There is no
+  // baseline file any more, so clean means zero findings. The whole-tree
+  // rules' half of the sweep is
+  // Tree.LiveTreeAnalyzesCleanAgainstEmptyBaselineAndAllowlist.
+  const auto model = lint::ProjectModel::build(repo_root());
+  std::vector<lint::Finding> findings;
+  for (const auto& rule : lint::all_rules(lint::load_seams(repo_root()))) {
+    if (dynamic_cast<const lint::FileRule*>(rule.get()) == nullptr) continue;
+    rule->check(model, findings);
+  }
   EXPECT_TRUE(findings.empty()) << describe(findings);
-}
-
-TEST(Tree, ParallelSweepIsByteIdenticalToSequential) {
-  // --jobs N must not reorder or drop findings: every file has a fixed
-  // slot in the path-sorted output. The fixtures are off the discovery
-  // path, so this exercises the live tree (empty either way) AND a
-  // per-rule sweep that visits every file.
-  EXPECT_EQ(lint::lint_tree(repo_root(), {}, 4), lint::lint_tree(repo_root()));
-  EXPECT_EQ(lint::lint_tree(repo_root(), "pragma-once", 3),
-            lint::lint_tree(repo_root(), "pragma-once", 1));
-}
-
-TEST(BaselineFile, StaleEntriesAreTheOnesMatchingNoFinding) {
-  lint::Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(baseline.parse("nondeterminism src/exp/trace.cpp:42\n"
-                             "raw-unit-type src/net/link.h:7\n",
-                             error))
-      << error;
-  const std::vector<lint::Finding> findings{
-      {"nondeterminism", "src/exp/trace.cpp", 42, "still present"},
-  };
-  const auto stale = baseline.stale_entries(findings);
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0], "raw-unit-type src/net/link.h:7");
-  EXPECT_TRUE(baseline.stale_entries({findings[0],
-                                      {"raw-unit-type", "src/net/link.h", 7,
-                                       "also present"}})
-                  .empty());
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // reports; running them in CI keeps the reproduction honest as the code
 // evolves. (Each test uses a reduced configuration, so thresholds carry
 // slack; the bench binaries produce the full-resolution numbers.)
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "exp/planetlab.h"
@@ -55,6 +58,53 @@ TEST(ShapeValidation, Fig7PacedSchemesFinishInTwoDataRtts) {
   // Median ~3 total RTTs (handshake + 2 data) vs TCP's ~7 — "one third".
   EXPECT_LT(halfback_rtts.median(), 3.5);
   EXPECT_GT(tcp_rtts.median(), 6.0);
+}
+
+// ---------------------------------------------------------------- Fig. 5/8
+
+TEST(ShapeValidation, Fig5HalfbackRetransmissionTailBelowJumpStart) {
+  exp::PlanetLabConfig config;
+  config.pair_count = 150;
+  config.threads = 8;
+  exp::PlanetLabEnv env{config};
+  stats::Summary halfback, jumpstart;
+  for (const auto& t : env.run(Scheme::halfback)) {
+    halfback.add(static_cast<double>(t.record.normal_retx));
+  }
+  for (const auto& t : env.run(Scheme::jumpstart)) {
+    jumpstart.add(static_cast<double>(t.record.normal_retx));
+  }
+  // §2.2/Fig. 5: JumpStart's repeated line-rate retransmission gives it a
+  // long per-flow retransmission tail; Halfback's is far shorter.
+  EXPECT_LT(halfback.percentile(99), jumpstart.percentile(99));
+}
+
+TEST(ShapeValidation, Fig8HalfbackMedianBelowJumpStartOnLossyPaths) {
+  exp::PlanetLabConfig config;
+  config.pair_count = 150;
+  config.threads = 8;
+  exp::PlanetLabEnv env{config};
+  std::map<Scheme, std::vector<exp::TrialResult>> trials;
+  std::vector<bool> lossy(config.pair_count, false);
+  for (const Scheme scheme : schemes::planetlab_set()) {
+    trials[scheme] = env.run(scheme);
+    for (std::size_t i = 0; i < trials[scheme].size(); ++i) {
+      if (trials[scheme][i].saw_loss) lossy[i] = true;
+    }
+  }
+  auto lossy_fct = [&](Scheme scheme) {
+    stats::Summary s;
+    for (std::size_t i = 0; i < trials.at(scheme).size(); ++i) {
+      if (lossy[i]) s.add(trials.at(scheme)[i].record.fct().to_ms());
+    }
+    return s;
+  };
+  const stats::Summary halfback = lossy_fct(Scheme::halfback);
+  const stats::Summary jumpstart = lossy_fct(Scheme::jumpstart);
+  // Fig. 8 is over the paths where any scheme saw loss, as in
+  // fig08_fct_loss_cdf; §4.2.1: Halfback's median FCT there is lower.
+  ASSERT_GT(halfback.count(), 0u);
+  EXPECT_LT(halfback.median(), jumpstart.median());
 }
 
 // ------------------------------------------------------------------ Fig. 9

@@ -26,13 +26,13 @@
 #include <map>
 #include <sstream>
 
-#include "analysis.h"
+#include "rules_internal.h"
 #include "effects.h"
 
 namespace halfback::lint {
 namespace {
 
-class EffectsRule final : public ModelRule {
+class EffectsRule final : public Rule {
  public:
   explicit EffectsRule(SeamInventory seams) : seams_{std::move(seams)} {}
 
@@ -139,7 +139,7 @@ class EffectsRule final : public ModelRule {
 
 }  // namespace
 
-std::unique_ptr<ModelRule> make_effects_rule(SeamInventory seams) {
+std::unique_ptr<Rule> make_effects_rule(SeamInventory seams) {
   return std::make_unique<EffectsRule>(std::move(seams));
 }
 

@@ -49,7 +49,7 @@
 #include <set>
 #include <sstream>
 
-#include "analysis.h"
+#include "rules_internal.h"
 
 namespace halfback::lint {
 namespace {
@@ -110,7 +110,7 @@ struct Reach {
   }
 };
 
-class HotPathReachRule final : public ModelRule {
+class HotPathReachRule final : public Rule {
  public:
   explicit HotPathReachRule(SeamInventory seams) : seams_{std::move(seams)} {}
 
@@ -234,7 +234,7 @@ class HotPathReachRule final : public ModelRule {
 
 }  // namespace
 
-std::unique_ptr<ModelRule> make_hot_path_reach_rule(SeamInventory seams) {
+std::unique_ptr<Rule> make_hot_path_reach_rule(SeamInventory seams) {
   return std::make_unique<HotPathReachRule>(std::move(seams));
 }
 

@@ -16,7 +16,7 @@
 #include <set>
 #include <sstream>
 
-#include "analysis.h"
+#include "rules_internal.h"
 
 namespace halfback::lint {
 namespace {
@@ -41,7 +41,7 @@ const std::set<std::string>* allowed_targets(const std::string& layer) {
   return it == kAllowed.end() ? nullptr : &it->second;
 }
 
-class LayeringRule final : public ModelRule {
+class LayeringRule final : public Rule {
  public:
   std::string_view id() const override { return "layering"; }
   std::string_view description() const override {
@@ -134,7 +134,7 @@ class LayeringRule final : public ModelRule {
 
 }  // namespace
 
-std::unique_ptr<ModelRule> make_layering_rule() {
+std::unique_ptr<Rule> make_layering_rule() {
   return std::make_unique<LayeringRule>();
 }
 

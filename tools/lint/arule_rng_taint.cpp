@@ -23,7 +23,7 @@
 #include <array>
 #include <cctype>
 
-#include "analysis.h"
+#include "rules_internal.h"
 
 namespace halfback::lint {
 namespace {
@@ -56,7 +56,7 @@ bool is_seedish_ident(std::string_view text) {
   });
 }
 
-class RngTaintRule final : public ModelRule {
+class RngTaintRule final : public Rule {
  public:
   std::string_view id() const override { return "rng_taint"; }
   std::string_view description() const override {
@@ -107,7 +107,7 @@ class RngTaintRule final : public ModelRule {
 
 }  // namespace
 
-std::unique_ptr<ModelRule> make_rng_taint_rule() {
+std::unique_ptr<Rule> make_rng_taint_rule() {
   return std::make_unique<RngTaintRule>();
 }
 

@@ -2,21 +2,26 @@
 // reachable from another.
 //
 // The sharded parallel engine runs many Simulator instances in one
-// process. shard_safety already bans process-wide mutable statics; this
-// rule closes the remaining escape routes by which one instance's object
-// graph can alias another's:
+// process. That is only sound if simulator code keeps its mutable state
+// behind instance pointers. This rule checks every route by which one
+// instance's state can reach another's:
 //
-//   1. Static-storage instance caches. ANY static-storage declaration —
+//   1. Mutable statics. Any non-const namespace-scope variable, mutable
+//      static data member, or function-local `static` (the classic
+//      singleton accessor) under src/ is shared by every shard in the
+//      process. The audit covers all of src/: every layer is reachable from
+//      experiment code.
+//   2. Static-storage instance caches. ANY static-storage declaration —
 //      `const` included, since a `static const Simulator*` cache aliases a
 //      live instance just fine; only `constexpr` is exempt — whose type is
 //      a pointer/reference to a class defined under src/, or mentions
 //      Simulator / FunctionRef / std::function (a stored callable captures
 //      its instance), parks per-instance state at process scope.
-//   2. Cross-instance bridges. A class holding two or more Simulator
+//   3. Cross-instance bridges. A class holding two or more Simulator
 //      references/pointers, or a function taking two or more Simulator
 //      parameters, is structurally able to move state between instances —
 //      there is no single-simulator reading of such a signature.
-//   3. Member provenance. A Simulator-typed reference/pointer member must
+//   4. Member provenance. A Simulator-typed reference/pointer member must
 //      be initialized from a single identifier (the constructor parameter
 //      threading the owning instance down), `nullptr`, or `this`. A
 //      compound initializer (`other.simulator_`, a call, arithmetic) means
@@ -24,14 +29,13 @@
 //      construction, and the reviewer cannot tell which simulator it
 //      aliases.
 //
-// Escape hatches mirror shard_safety: a justified entry in
-// tools/lint/escape_allowlist.txt — EMPTY BY POLICY; CI diffs it against
-// the committed empty file — or a `// lint: escape-ok(reason)` tag. Stale
-// allowlist entries are findings.
+// The one escape hatch is a `// lint: escape-ok(reason)` tag on the
+// finding's line or the line above.
+#include <map>
 #include <set>
 #include <sstream>
 
-#include "analysis.h"
+#include "rules_internal.h"
 
 namespace halfback::lint {
 namespace {
@@ -57,66 +61,42 @@ bool has_token(const std::vector<std::string_view>& tokens,
   return false;
 }
 
-class SimEscapeRule final : public ModelRule {
+class SimEscapeRule final : public Rule {
  public:
-  explicit SimEscapeRule(ShardAllowlist allowlist)
-      : allowlist_{std::move(allowlist)} {}
-
   std::string_view id() const override { return "sim_escape"; }
   std::string_view description() const override {
     return "no mutable state reachable from one Simulator instance may be "
-           "reachable from another: no static-storage instance caches, no "
-           "cross-instance bridges, single-identifier provenance for "
-           "Simulator members";
+           "reachable from another: no mutable statics or static-storage "
+           "instance caches under src/, no cross-instance bridges, "
+           "single-identifier provenance for Simulator members";
   }
   std::string_view suppression_tag() const override { return "escape-ok"; }
 
   void check(const ProjectModel& model,
              std::vector<Finding>& out) const override {
-    std::set<std::size_t> used;
-    check_static_caches(model, used, out);
-    check_bridges(model, used, out);
-    check_member_provenance(model, used, out);
-    // Stale escape-allowlist entries are findings, same as shard_safety:
-    // the allowlist is empty by policy, so anything in it must be earning
-    // its keep right now.
-    for (std::size_t i = 0; i < allowlist_.entries.size(); ++i) {
-      if (used.contains(i)) continue;
-      const ShardAllowEntry& entry = allowlist_.entries[i];
-      out.push_back({std::string{id()}, "tools/lint/escape_allowlist.txt",
-                     entry.source_line,
-                     "stale escape allowlist entry '" + entry.qualified +
-                         "': no escape finding matches it"});
-    }
+    check_mutable_statics(model, out);
+    check_static_caches(model, out);
+    check_bridges(model, out);
+    check_member_provenance(model, out);
   }
 
  private:
-  static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
-
-  std::size_t match(const std::string& qualified,
-                    const std::string& path) const {
-    for (std::size_t i = 0; i < allowlist_.entries.size(); ++i) {
-      const ShardAllowEntry& entry = allowlist_.entries[i];
-      if (entry.path == path && entry.qualified == qualified) return i;
+  void check_mutable_statics(const ProjectModel& model,
+                             std::vector<Finding>& out) const {
+    for (const GlobalVar& var : model.globals()) {
+      if (!model.file(var.file).path().starts_with("src/")) continue;
+      report(model, var.file, var.line,
+             std::string{var.is_local_static ? "function-local static '"
+                                             : "mutable static-storage "
+                                               "variable '"} +
+                 var.qualified +
+                 "' is shared across simulator shards; remove it or tag it "
+                 "'// lint: escape-ok(reason)'",
+             out);
     }
-    return kNoEntry;
-  }
-
-  /// Report unless allowlisted (marking the entry used) or tag-suppressed.
-  void emit(const ProjectModel& model, const std::string& qualified,
-            std::size_t file, int line, std::string message,
-            std::set<std::size_t>& used, std::vector<Finding>& out) const {
-    const std::string& path = model.file(file).path();
-    const std::size_t entry = match(qualified, path);
-    if (entry != kNoEntry) {
-      used.insert(entry);
-      return;
-    }
-    report(model, file, line, std::move(message), out);
   }
 
   void check_static_caches(const ProjectModel& model,
-                           std::set<std::size_t>& used,
                            std::vector<Finding>& out) const {
     const auto& classes = model.src_classes();
     for (const StaticDecl& decl : model.static_decls()) {
@@ -143,12 +123,11 @@ class SimEscapeRule final : public ModelRule {
           << decl.type_text << ") " << why
           << "; state reachable from one Simulator must not sit at process "
              "scope where another instance can reach it";
-      emit(model, decl.qualified, decl.file, decl.line, std::move(msg).str(),
-           used, out);
+      report(model, decl.file, decl.line, std::move(msg).str(), out);
     }
   }
 
-  void check_bridges(const ProjectModel& model, std::set<std::size_t>& used,
+  void check_bridges(const ProjectModel& model,
                      std::vector<Finding>& out) const {
     // A class with >= 2 Simulator handles. Count per class; report at the
     // second member so the finding lands on the line that created the
@@ -164,8 +143,7 @@ class SimEscapeRule final : public ModelRule {
           << " Simulator references ('" << member.name
           << "' is the latest); one object aliasing two simulators can "
              "carry state across shard boundaries";
-      emit(model, member.class_name, member.file, member.line,
-           std::move(msg).str(), used, out);
+      report(model, member.file, member.line, std::move(msg).str(), out);
     }
     for (std::size_t i = 0; i < model.functions().size(); ++i) {
       const FunctionDef& fn = model.functions()[i];
@@ -176,13 +154,11 @@ class SimEscapeRule final : public ModelRule {
           << fn.simulator_params
           << " Simulator parameters; no single-instance reading of this "
              "signature exists";
-      emit(model, fn.qualified, fn.file, fn.line, std::move(msg).str(), used,
-           out);
+      report(model, fn.file, fn.line, std::move(msg).str(), out);
     }
   }
 
   void check_member_provenance(const ProjectModel& model,
-                               std::set<std::size_t>& used,
                                std::vector<Finding>& out) const {
     // Simulator-typed ref/ptr members, keyed (class, member).
     std::set<std::pair<std::string_view, std::string_view>> sim_members;
@@ -210,18 +186,15 @@ class SimEscapeRule final : public ModelRule {
           << "'; a non-owning Simulator member must come from a single "
              "identifier (the owning instance threaded through the "
              "constructor), nullptr, or this";
-      emit(model, init.class_name + "::" + init.member, init.file, init.line,
-           std::move(msg).str(), used, out);
+      report(model, init.file, init.line, std::move(msg).str(), out);
     }
   }
-
-  ShardAllowlist allowlist_;
 };
 
 }  // namespace
 
-std::unique_ptr<ModelRule> make_sim_escape_rule(ShardAllowlist allowlist) {
-  return std::make_unique<SimEscapeRule>(std::move(allowlist));
+std::unique_ptr<Rule> make_sim_escape_rule() {
+  return std::make_unique<SimEscapeRule>();
 }
 
 }  // namespace halfback::lint

@@ -37,8 +37,8 @@
 #include <string>
 #include <string_view>
 
-#include "analysis.h"
 #include "model.h"
+#include "seams.h"
 
 namespace halfback::lint {
 

@@ -1,29 +1,26 @@
-// halfback-lint: the project's determinism & unit-safety static analysis.
+// halfback-lint: the project's static analysis — determinism, unit safety,
+// layering, hot-path purity, effect contracts and simulator escape — over
+// one model of the tree.
 //
-//   halfback-lint --root <repo>                 lint src/ under <repo>
-//   halfback-lint --root <repo> <file> [...]    lint specific files
-//   halfback-lint --root <repo> --as src/x.cpp <file>
-//                                               lint a file under a logical
-//                                               path (fixture testing)
-//   --baseline <file>       tolerate findings listed in <file>
-//   --update-baseline <file>  write current findings to <file> and exit 0
-//   --verify-baseline <file>  exit 1 if <file> has entries matching no
-//                           finding (the CI drift guard)
-//   --rule <id>             run a single rule
-//   --jobs <n>              scan files on n workers (output is identical)
-//   --list-rules            print the rule table and exit
+//   halfback-lint --root <repo>     lint the tree (every rule, one stream)
+//   --rule <id>                     run a single rule
+//   --list-rules                    print the rule table and exit
+//   --dot <file>                    also write the layer include graph
+//                                   (Graphviz)
+//   --effects <prefix>              print the inferred effect set of every
+//                                   function whose qualified name starts
+//                                   with <prefix> and exit (annotation aid)
 //
 // Exit status: 0 clean, 1 findings, 2 usage or I/O error.
-#include <cstring>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "baseline.h"
-#include "runner.h"
+#include "effects.h"
+#include "rules.h"
 
 namespace {
 
@@ -31,23 +28,18 @@ using namespace halfback::lint;
 
 struct Options {
   std::filesystem::path root = ".";
-  std::string baseline_path;
-  std::string update_baseline_path;
-  std::string verify_baseline_path;
   std::string only_rule;
-  int jobs = 1;
-  std::string as_path;
-  std::vector<std::string> files;
+  std::string dot_path;
+  std::string effects_prefix;
+  bool dump_effects = false;
   bool list_rules = false;
 };
 
 int usage(std::ostream& out, int code) {
-  out << "usage: halfback-lint --root <repo> [--baseline <file>] "
-         "[--update-baseline <file>]\n"
-         "                     [--verify-baseline <file>] [--rule <id>] "
-         "[--jobs <n>]\n"
-         "                     [--list-rules] [--as <logical-path>] "
-         "[files...]\n";
+  out << "usage: halfback-lint --root <repo> [--rule <id>] [--dot <file>]\n"
+         "       halfback-lint --root <repo> --effects "
+         "<qualified-name-prefix>\n"
+         "       halfback-lint --list-rules\n";
   return code;
 }
 
@@ -63,34 +55,20 @@ bool parse_args(int argc, char** argv, Options& opts) {
     if (arg == "--root") {
       if (!value(root_value)) return false;
       opts.root = root_value;
-    } else if (arg == "--baseline") {
-      if (!value(opts.baseline_path)) return false;
-    } else if (arg == "--update-baseline") {
-      if (!value(opts.update_baseline_path)) return false;
-    } else if (arg == "--verify-baseline") {
-      if (!value(opts.verify_baseline_path)) return false;
-    } else if (arg == "--jobs") {
-      std::string jobs_value;
-      if (!value(jobs_value)) return false;
-      try {
-        opts.jobs = std::stoi(jobs_value);
-      } catch (const std::exception&) {
-        return false;
-      }
-      if (opts.jobs < 1) return false;
     } else if (arg == "--rule") {
       if (!value(opts.only_rule)) return false;
-    } else if (arg == "--as") {
-      if (!value(opts.as_path)) return false;
+    } else if (arg == "--dot") {
+      if (!value(opts.dot_path)) return false;
+    } else if (arg == "--effects") {
+      if (!value(opts.effects_prefix)) return false;
+      opts.dump_effects = true;
     } else if (arg == "--list-rules") {
       opts.list_rules = true;
-    } else if (arg.starts_with("--")) {
-      return false;
     } else {
-      opts.files.emplace_back(arg);
+      return false;
     }
   }
-  return !(opts.as_path.size() && opts.files.size() != 1);
+  return true;
 }
 
 }  // namespace
@@ -99,8 +77,9 @@ int main(int argc, char** argv) {
   Options opts;
   if (!parse_args(argc, argv, opts)) return usage(std::cerr, 2);
 
+  const auto rules = all_rules();
   if (opts.list_rules) {
-    for (const auto& rule : all_rules()) {
+    for (const auto& rule : rules) {
       std::cout << rule->id() << "\n    " << rule->description();
       if (!rule->suppression_tag().empty()) {
         std::cout << "\n    suppression: // lint: " << rule->suppression_tag()
@@ -110,85 +89,64 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-
-  auto load = [](const std::string& path, Baseline& into) {
-    std::ifstream in{path};
-    if (!in) {
-      std::cerr << "halfback-lint: cannot read baseline " << path << "\n";
-      return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string error;
-    if (!into.parse(text.str(), error)) {
-      std::cerr << "halfback-lint: " << error << "\n";
-      return false;
-    }
-    return true;
-  };
-  Baseline baseline;
-  if (!opts.baseline_path.empty() && !load(opts.baseline_path, baseline)) {
+  if (!opts.only_rule.empty() &&
+      std::none_of(rules.begin(), rules.end(), [&](const auto& rule) {
+        return rule->id() == opts.only_rule;
+      })) {
+    std::cerr << "halfback-lint: unknown rule '" << opts.only_rule
+              << "' (see --list-rules)\n";
     return 2;
   }
-  Baseline verify;
-  if (!opts.verify_baseline_path.empty() &&
-      !load(opts.verify_baseline_path, verify)) {
+  // A mistyped --root would otherwise model an empty tree and pass.
+  if (!std::filesystem::is_directory(opts.root / "src")) {
+    std::cerr << "halfback-lint: no src/ directory under " << opts.root
+              << "\n";
     return 2;
   }
 
   std::vector<Finding> findings;
+  std::string dot;
   try {
-    if (opts.files.empty()) {
-      findings = lint_tree(opts.root, opts.only_rule, opts.jobs);
-    } else {
-      for (const std::string& f : opts.files) {
-        const std::string logical =
-            !opts.as_path.empty()
-                ? opts.as_path
-                : std::filesystem::relative(f, opts.root).generic_string();
-        auto file_findings = lint_path(f, logical, opts.only_rule);
-        findings.insert(findings.end(), file_findings.begin(), file_findings.end());
+    SeamInventory seams = load_seams(opts.root);
+    const ProjectModel model = ProjectModel::build(opts.root);
+    if (opts.dump_effects) {
+      // Annotation aid: inferred effect set per matching function, in
+      // symbol-table order (deterministic: directory scan is sorted).
+      const EffectAnalysis analysis{model, seams};
+      for (std::size_t i = 0; i < model.functions().size(); ++i) {
+        const FunctionDef& fn = model.functions()[i];
+        if (!fn.qualified.starts_with(opts.effects_prefix)) continue;
+        std::cout << fn.qualified << " [" << analysis.of(i).to_string()
+                  << "] " << model.file(fn.file).path() << ":" << fn.line
+                  << "\n";
       }
+      return 0;
     }
+    findings = lint_model(model, std::move(seams), opts.only_rule);
+    if (!opts.dot_path.empty()) dot = model.layer_graph_dot();
   } catch (const std::exception& e) {
     std::cerr << "halfback-lint: " << e.what() << "\n";
     return 2;
   }
 
-  if (!opts.update_baseline_path.empty()) {
-    std::ofstream out{opts.update_baseline_path};
-    out << Baseline::render(findings);
-    std::cout << "halfback-lint: wrote " << findings.size() << " finding(s) to "
-              << opts.update_baseline_path << "\n";
-    return 0;
-  }
-
-  if (!opts.verify_baseline_path.empty()) {
-    const auto stale = verify.stale_entries(findings);
-    if (!stale.empty()) {
-      for (const std::string& entry : stale) {
-        std::cout << "stale baseline entry: " << entry << "\n";
-      }
-      std::cout << "halfback-lint: " << stale.size()
-                << " stale baseline entr(ies) in " << opts.verify_baseline_path
-                << "\n";
-      return 1;
+  if (!opts.dot_path.empty()) {
+    std::ofstream out{opts.dot_path};
+    out << dot;
+    out.close();
+    if (!out) {
+      std::cerr << "halfback-lint: cannot write " << opts.dot_path << "\n";
+      return 2;
     }
   }
 
-  std::size_t reported = 0;
   for (const Finding& f : findings) {
-    if (baseline.contains(f)) continue;
-    ++reported;
-    std::cout << f.path << ":" << f.line << ": [" << f.rule << "] " << f.message
-              << "\n";
+    std::cout << f.path << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n";
   }
-  if (reported == 0) {
-    std::cout << "halfback-lint: clean (" << findings.size()
-              << " finding(s) total, " << baseline.size()
-              << " baseline entr(ies))\n";
-    return 0;
+  if (findings.empty()) {
+    std::cout << "halfback-lint: clean\n";
+  } else {
+    std::cout << "halfback-lint: " << findings.size() << " finding(s)\n";
   }
-  std::cout << "halfback-lint: " << reported << " finding(s)\n";
-  return 1;
+  return findings.empty() ? 0 : 1;
 }

@@ -1,9 +1,10 @@
-// The cross-translation-unit project model behind halfback-analyze.
+// The cross-translation-unit project model every halfback-lint rule runs
+// over.
 //
-// halfback-lint (rules.h) sees one file at a time; the whole-program
-// contracts — layering, transitive hot-path purity, shard safety,
-// seed-derived randomness — need a view of the tree. The ProjectModel is
-// that view: every source file tokenized once, plus
+// The per-file rules (FileRule, rules.h) read one file at a time; the
+// whole-program contracts — layering, transitive hot-path purity, simulator
+// escape, seed-derived randomness — need a view of the tree. The
+// ProjectModel is that view: every source file tokenized once, plus
 //
 //   * an include graph (file -> file edges, resolved against the tree),
 //   * a symbol table of function definitions with per-body evidence
@@ -18,7 +19,7 @@
 // "Best effort" is a design point, not an apology: the model is built by
 // the same zero-dependency tokenizer as the linter (no libclang), so calls
 // through std::function / function pointers are invisible and overload sets
-// collapse to name matches. The rules on top (analysis.h) are written so
+// collapse to name matches. The rules on top (rules.h) are written so
 // that blindness makes them miss findings, never invent them.
 #pragma once
 
@@ -158,7 +159,7 @@ struct MemberInit {
   int line = 0;
 };
 
-/// Mutable state with static storage duration (shard-safety rule input).
+/// Mutable state with static storage duration (sim_escape rule input).
 struct GlobalVar {
   std::string name;
   std::string qualified;  ///< namespace-qualified, best effort

@@ -12,7 +12,7 @@ namespace {
 using scan::ident_at;
 using scan::punct_at;
 
-class HotPathFunctionRule final : public Rule {
+class HotPathFunctionRule final : public FileRule {
  public:
   std::string_view id() const override { return "hot-path-std-function"; }
   std::string_view description() const override {
@@ -21,8 +21,7 @@ class HotPathFunctionRule final : public Rule {
   }
   std::string_view suppression_tag() const override { return "function-ok"; }
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file, std::vector<Finding>& out) const override {
     if (!file.annotated("hot-path")) return;
     const auto& code = file.code();
     for (std::size_t i = 0; i + 2 < code.size(); ++i) {

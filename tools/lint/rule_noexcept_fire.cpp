@@ -12,7 +12,7 @@ namespace {
 using scan::ident_at;
 using scan::punct_at;
 
-class NoexceptFireRule final : public Rule {
+class NoexceptFireRule final : public FileRule {
  public:
   std::string_view id() const override { return "noexcept-fire"; }
   std::string_view description() const override {
@@ -21,8 +21,7 @@ class NoexceptFireRule final : public Rule {
   }
   std::string_view suppression_tag() const override { return "fire-may-throw"; }
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file, std::vector<Finding>& out) const override {
     const auto& code = file.code();
     for (std::size_t i = 0; i + 2 < code.size(); ++i) {
       if (!ident_at(code, i, "fire") || !punct_at(code, i + 1, "(") ||

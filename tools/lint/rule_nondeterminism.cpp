@@ -24,7 +24,7 @@ constexpr std::array<std::string_view, 10> kBannedCalls{
 constexpr std::array<std::string_view, 4> kBannedTypes{
     "random_device", "system_clock", "steady_clock", "high_resolution_clock"};
 
-class NondeterminismRule final : public Rule {
+class NondeterminismRule final : public FileRule {
  public:
   std::string_view id() const override { return "nondeterminism"; }
   std::string_view description() const override {
@@ -33,8 +33,7 @@ class NondeterminismRule final : public Rule {
   }
   std::string_view suppression_tag() const override { return "nondet-ok"; }
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file, std::vector<Finding>& out) const override {
     if (file.path() == "src/sim/random.h" || file.path() == "src/sim/random.cpp")
       return;  // the one place std <random> engines may live
 

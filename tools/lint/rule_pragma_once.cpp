@@ -29,7 +29,7 @@ std::string normalized(std::string_view directive) {
   return out;
 }
 
-class PragmaOnceRule final : public Rule {
+class PragmaOnceRule final : public FileRule {
  public:
   std::string_view id() const override { return "pragma-once"; }
   std::string_view description() const override {
@@ -37,8 +37,8 @@ class PragmaOnceRule final : public Rule {
   }
   std::string_view suppression_tag() const override { return ""; }
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/") || !file.is_header()) return;
+  void check_file(const SourceFile& file, std::vector<Finding>& out) const override {
+    if (!file.is_header()) return;
     const auto& tokens = file.tokens();
     const bool found = std::any_of(tokens.begin(), tokens.end(), [](const Token& t) {
       return t.kind == TokenKind::pp_directive &&

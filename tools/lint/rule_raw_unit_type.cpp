@@ -40,7 +40,7 @@ const char* strong_type_for(std::string_view name) {
   return "sim::Time";
 }
 
-class RawUnitTypeRule final : public Rule {
+class RawUnitTypeRule final : public FileRule {
  public:
   std::string_view id() const override { return "raw-unit-type"; }
   std::string_view description() const override {
@@ -50,8 +50,8 @@ class RawUnitTypeRule final : public Rule {
   }
   std::string_view suppression_tag() const override { return "unit-ok"; }
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/") || !file.is_header()) return;
+  void check_file(const SourceFile& file, std::vector<Finding>& out) const override {
+    if (!file.is_header()) return;
     const auto& code = file.code();
 
     for (std::size_t i = 0; i < code.size(); ++i) {

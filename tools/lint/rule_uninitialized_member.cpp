@@ -30,7 +30,7 @@ bool is_scalar_type_name(std::string_view t) {
   return t.starts_with("int") && t.ends_with("_t");  // int8_t, int32_t, ...
 }
 
-class UninitializedMemberRule final : public Rule {
+class UninitializedMemberRule final : public FileRule {
  public:
   std::string_view id() const override { return "uninitialized-pod-member"; }
   std::string_view description() const override {
@@ -39,8 +39,7 @@ class UninitializedMemberRule final : public Rule {
   }
   std::string_view suppression_tag() const override { return "init-ok"; }
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    if (!file.path().starts_with("src/")) return;
+  void check_file(const SourceFile& file, std::vector<Finding>& out) const override {
     const auto& code = file.code();
     for (std::size_t i = 0; i + 1 < code.size(); ++i) {
       if (!(ident_at(code, i, "struct") || ident_at(code, i, "class"))) continue;

@@ -30,7 +30,7 @@ bool is_unordered_type_name(std::string_view t) {
   return false;
 }
 
-class UnorderedIterationRule final : public Rule {
+class UnorderedIterationRule final : public FileRule {
  public:
   std::string_view id() const override { return "unordered-iteration"; }
   std::string_view description() const override {
@@ -39,7 +39,7 @@ class UnorderedIterationRule final : public Rule {
   }
   std::string_view suppression_tag() const override { return "ordered-ok"; }
 
-  void check(const SourceFile& file, std::vector<Finding>& out) const override {
+  void check_file(const SourceFile& file, std::vector<Finding>& out) const override {
     if (!file.in_any_dir({"src/exp/", "src/stats/", "src/audit/"})) return;
     const auto& code = file.code();
 

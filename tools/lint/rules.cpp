@@ -1,5 +1,8 @@
 #include "rules.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "rules_internal.h"
 
 namespace halfback::lint {
@@ -11,30 +14,55 @@ void Rule::report(const SourceFile& file, int line, std::string message,
   out.push_back(Finding{std::string{id()}, file.path(), line, std::move(message)});
 }
 
-const std::vector<std::unique_ptr<Rule>>& all_rules() {
-  static const std::vector<std::unique_ptr<Rule>> rules = [] {
-    std::vector<std::unique_ptr<Rule>> r;
-    r.push_back(make_nondeterminism_rule());
-    r.push_back(make_unordered_iteration_rule());
-    r.push_back(make_raw_unit_type_rule());
-    r.push_back(make_naked_new_delete_rule());
-    r.push_back(make_uninitialized_member_rule());
-    r.push_back(make_pragma_once_rule());
-    r.push_back(make_hot_path_function_rule());
-    r.push_back(make_noexcept_fire_rule());
-    r.push_back(make_stdout_accounting_rule());
-    return r;
-  }();
+void FileRule::check(const ProjectModel& model,
+                     std::vector<Finding>& out) const {
+  for (const SourceFile& file : model.files()) {
+    if (file.path().starts_with("src/")) check_file(file, out);
+  }
+}
+
+std::vector<std::unique_ptr<Rule>> all_rules(SeamInventory seams) {
+  std::vector<std::unique_ptr<Rule>> rules;
+  rules.push_back(make_nondeterminism_rule());
+  rules.push_back(make_unordered_iteration_rule());
+  rules.push_back(make_raw_unit_type_rule());
+  rules.push_back(make_naked_new_delete_rule());
+  rules.push_back(make_uninitialized_member_rule());
+  rules.push_back(make_pragma_once_rule());
+  rules.push_back(make_hot_path_function_rule());
+  rules.push_back(make_noexcept_fire_rule());
+  rules.push_back(make_stdout_accounting_rule());
+  rules.push_back(make_layering_rule());
+  rules.push_back(make_hot_path_reach_rule(seams));
+  rules.push_back(make_rng_taint_rule());
+  rules.push_back(make_effects_rule(std::move(seams)));
+  rules.push_back(make_sim_escape_rule());
   return rules;
 }
 
-std::vector<Finding> lint_file(const SourceFile& file, std::string_view only_rule) {
+std::vector<Finding> lint_model(const ProjectModel& model, SeamInventory seams,
+                                std::string_view only_rule) {
   std::vector<Finding> findings;
-  for (const auto& rule : all_rules()) {
+  for (const auto& rule : all_rules(std::move(seams))) {
     if (!only_rule.empty() && rule->id() != only_rule) continue;
-    rule->check(file, findings);
+    std::vector<Finding> rule_findings;
+    rule->check(model, rule_findings);
+    std::sort(rule_findings.begin(), rule_findings.end(),
+              [](const Finding& a, const Finding& b) {
+                return std::tie(a.path, a.line, a.message) <
+                       std::tie(b.path, b.line, b.message);
+              });
+    findings.insert(findings.end(),
+                    std::make_move_iterator(rule_findings.begin()),
+                    std::make_move_iterator(rule_findings.end()));
   }
   return findings;
+}
+
+std::vector<Finding> lint_tree(const std::filesystem::path& root,
+                               std::string_view only_rule) {
+  SeamInventory seams = load_seams(root);
+  return lint_model(ProjectModel::build(root), std::move(seams), only_rule);
 }
 
 namespace scan {

@@ -1,14 +1,17 @@
-// Rule framework: a Finding, the Rule interface, and the registry of all
-// project rules. Rule semantics are documented in docs/static-analysis.md;
-// tests/lint/ pins each rule's behaviour on fixture files.
+// Rule framework: a Finding, the Rule interface, the registry of all
+// project rules, and the sweep that runs them over a ProjectModel. Rule
+// semantics are documented in docs/static-analysis.md; tests/lint/ pins each
+// rule's behaviour on fixture files and fixture trees.
 #pragma once
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "source_file.h"
+#include "model.h"
+#include "seams.h"
 
 namespace halfback::lint {
 
@@ -25,7 +28,7 @@ class Rule {
  public:
   virtual ~Rule() = default;
 
-  /// Stable id used in output, baselines, and `--rule` filters.
+  /// Stable id used in output and `--rule` filters.
   virtual std::string_view id() const = 0;
 
   /// One-line description for `--list-rules`.
@@ -34,20 +37,48 @@ class Rule {
   /// The suppression tag that silences this rule on a line ("" = none).
   virtual std::string_view suppression_tag() const = 0;
 
-  /// Append findings for `file`. Implementations scope themselves (headers
-  /// only, specific directories, annotated files) from file.path().
-  virtual void check(const SourceFile& file, std::vector<Finding>& out) const = 0;
+  /// Append findings for the tree. A rule may follow an include edge or a
+  /// call chain across translation units.
+  virtual void check(const ProjectModel& model,
+                     std::vector<Finding>& out) const = 0;
 
  protected:
-  /// Emit unless the site carries this rule's suppression tag.
+  /// Emit unless the site carries this rule's suppression tag: a
+  /// "// lint: <tag>(reason)" comment on the line or the line above.
   void report(const SourceFile& file, int line, std::string message,
               std::vector<Finding>& out) const;
+  void report(const ProjectModel& model, std::size_t file, int line,
+              std::string message, std::vector<Finding>& out) const {
+    report(model.file(file), line, std::move(message), out);
+  }
 };
 
-/// All rules, in the order they run and print.
-const std::vector<std::unique_ptr<Rule>>& all_rules();
+/// A rule that reads one file at a time. check() hands it every src/ file
+/// of the model; the rule may narrow its scope further from file.path()
+/// (headers only, specific directories, annotated files).
+class FileRule : public Rule {
+ public:
+  void check(const ProjectModel& model,
+             std::vector<Finding>& out) const final;
 
-/// Run every rule (or just `only_rule`, when nonempty) over `file`.
-std::vector<Finding> lint_file(const SourceFile& file, std::string_view only_rule = {});
+  virtual void check_file(const SourceFile& file,
+                          std::vector<Finding>& out) const = 0;
+};
+
+/// All rules in the order they run and print: the per-file rules, then the
+/// whole-tree rules. hot_path_reach and effects share `seams`.
+std::vector<std::unique_ptr<Rule>> all_rules(SeamInventory seams = {});
+
+/// Run every rule (or just `only_rule`, when nonempty) over `model`.
+/// Findings are ordered rule by rule, each rule's sorted by (path, line,
+/// message).
+std::vector<Finding> lint_model(const ProjectModel& model,
+                                SeamInventory seams = {},
+                                std::string_view only_rule = {});
+
+/// Build the model of `root` and lint it against root's seam inventory.
+/// Throws std::runtime_error on I/O or parse errors.
+std::vector<Finding> lint_tree(const std::filesystem::path& root,
+                               std::string_view only_rule = {});
 
 }  // namespace halfback::lint

@@ -9,6 +9,7 @@
 
 namespace halfback::lint {
 
+// Per-file rules (rule_*.cpp).
 std::unique_ptr<Rule> make_nondeterminism_rule();
 std::unique_ptr<Rule> make_unordered_iteration_rule();
 std::unique_ptr<Rule> make_raw_unit_type_rule();
@@ -18,6 +19,13 @@ std::unique_ptr<Rule> make_pragma_once_rule();
 std::unique_ptr<Rule> make_hot_path_function_rule();
 std::unique_ptr<Rule> make_noexcept_fire_rule();
 std::unique_ptr<Rule> make_stdout_accounting_rule();
+
+// Whole-tree rules (arule_*.cpp).
+std::unique_ptr<Rule> make_layering_rule();
+std::unique_ptr<Rule> make_hot_path_reach_rule(SeamInventory seams);
+std::unique_ptr<Rule> make_rng_taint_rule();
+std::unique_ptr<Rule> make_effects_rule(SeamInventory seams);
+std::unique_ptr<Rule> make_sim_escape_rule();
 
 /// Shared token-scan helpers.
 namespace scan {
